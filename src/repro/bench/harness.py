@@ -43,10 +43,9 @@ class WorkloadConfig:
     seed: int = 2023
     fidelity: str = "calibrated"  # "calibrated" | "interp"
     burst_model: bool = False
-    optimize_guards: bool = False
-    #: Guard optimization level (None derives from optimize_guards; the
-    #: paper figures stay at the faithful -O0 default).
-    opt_level: Optional[int] = None
+    #: Guard optimization level (the paper figures stay at the faithful
+    #: -O0 default).
+    opt_level: int = 0
     #: Policy index structure name ("linear", "interval", ...); None is
     #: the paper's linear table.
     policy_index: Optional[str] = None
@@ -79,7 +78,6 @@ def build_system(cfg: WorkloadConfig) -> CaratKopSystem:
             machine=cfg.machine,
             protect=cfg.protect,
             regions=cfg.regions,
-            optimize_guards=cfg.optimize_guards,
             opt_level=cfg.opt_level,
             policy_index=cfg.policy_index,
             engine=cfg.engine,
@@ -238,7 +236,7 @@ class FigureResult:
 
 def run_fig3(trials: int = 41, seed: int = 2023,
              fidelity: str = "calibrated",
-             opt_level: Optional[int] = None,
+             opt_level: int = 0,
              policy_index: Optional[str] = None,
              regions: int = 2) -> FigureResult:
     """Fig. 3: throughput CDF, slow R415, 128 B packets, 2 regions.
@@ -265,7 +263,7 @@ def run_fig4(trials: int = 41, seed: int = 2023,
 
 def _throughput_figure(fid: str, title: str, machine: str, trials: int,
                        seed: int, fidelity: str,
-                       opt_level: Optional[int] = None,
+                       opt_level: int = 0,
                        policy_index: Optional[str] = None,
                        regions: int = 2) -> FigureResult:
     series = {}
@@ -277,7 +275,7 @@ def _throughput_figure(fid: str, title: str, machine: str, trials: int,
         cfg = WorkloadConfig(
             machine=machine, protect=protect, trials=trials, seed=seed,
             fidelity=fidelity, regions=regions,
-            opt_level=opt_level if protect else None,
+            opt_level=opt_level if protect else 0,
             policy_index=policy_index,
         )
         cal = calibrate(cfg) if fidelity == "calibrated" else None

@@ -41,10 +41,6 @@ def caratcc_main(argv: list[str] | None = None) -> int:
         help="build the baseline (no guard injection)",
     )
     ap.add_argument(
-        "--optimize-guards", action="store_true",
-        help="run the CARAT CAKE-style guard optimizer (ablation)",
-    )
-    ap.add_argument(
         "--guard-intrinsics", action="store_true",
         help="also guard privileged intrinsics (paper §5 extension)",
     )
@@ -59,7 +55,6 @@ def caratcc_main(argv: list[str] | None = None) -> int:
         CompileOptions(
             module_name=name,
             protect=not args.no_protect,
-            optimize_guards=args.optimize_guards,
             guard_intrinsics=args.guard_intrinsics,
             key=SigningKey.generate(),
         ),

@@ -52,16 +52,12 @@ class CompileOptions:
     module_name: str = "module"
     #: Apply the CARAT KOP guard-injection transform.
     protect: bool = True
-    #: Run the CARAT CAKE-style guard optimizer (OFF in the paper; the
-    #: abl2 benchmark turns it on to measure what it would recover).
-    #: Equivalent to ``opt_level=1`` and kept for backward compatibility.
-    optimize_guards: bool = False
     #: Guard optimization level: 0 = faithful paper mode (guard every
-    #: access), 1 = dominated-guard elimination + loop-invariant hoisting,
+    #: access), 1 = dominated-guard elimination + loop-invariant hoisting
+    #: (the CARAT CAKE-style optimizer the abl2 benchmark measures),
     #: 2 = adds range coalescing, 3 = adds load-time static verification
-    #: (prove guards in-policy and mint an elision certificate).  ``None``
-    #: derives the level from ``optimize_guards`` (True -> 1, False -> 0).
-    opt_level: Optional[int] = None
+    #: (prove guards in-policy and mint an elision certificate).
+    opt_level: int = 0
     #: Individual transform overrides; ``None`` follows ``opt_level``.
     eliminate_guards: Optional[bool] = None
     hoist_guards: Optional[bool] = None
@@ -89,14 +85,12 @@ class CompileOptions:
     verify_each_pass: bool = True
 
     def resolved_opt_level(self) -> int:
-        """The effective ``-O`` level after legacy-flag fallback."""
-        if self.opt_level is not None:
-            if self.opt_level not in (0, 1, 2, 3):
-                raise ValueError(
-                    f"opt_level must be 0, 1, 2, or 3: {self.opt_level}"
-                )
-            return self.opt_level
-        return 1 if self.optimize_guards else 0
+        """The ``-O`` level, validated."""
+        if self.opt_level not in (0, 1, 2, 3):
+            raise ValueError(
+                f"opt_level must be 0, 1, 2, or 3: {self.opt_level}"
+            )
+        return self.opt_level
 
     def verify_enabled(self) -> bool:
         """Static verification tier (``-O3``) after overrides."""

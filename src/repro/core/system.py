@@ -33,13 +33,10 @@ class SystemConfig:
     #: Build the driver with the CARAT KOP transform ("carat") or not
     #: ("baseline") — the two curves in every figure.
     protect: bool = True
-    #: CARAT CAKE-style guard optimization (legacy toggle == ``-O1``).
-    optimize_guards: bool = False
     #: Guard optimization level: 0 faithful, 1 eliminate+hoist, 2 adds
     #: range coalescing, 3 adds load-time static verification (prove
     #: guards in-policy at compile time, elide them at insmod).
-    #: ``None`` derives from ``optimize_guards``.
-    opt_level: Optional[int] = None
+    opt_level: int = 0
     #: What insmod does with a stale/invalid verification certificate:
     #: "strict" rejects the module, "demote" (default) loads it with
     #: full dynamic guarding, "off" ignores certificates entirely.
@@ -146,7 +143,6 @@ class CaratKopSystem:
         compile_opts = CompileOptions(
             module_name=driver_name,
             protect=cfg.protect,
-            optimize_guards=cfg.optimize_guards,
             opt_level=cfg.opt_level,
             key=self.signing_key,
         )

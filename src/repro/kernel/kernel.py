@@ -237,15 +237,7 @@ class Kernel:
             return True
         if module.name in policy.module_indexes:
             return True  # certified against the global table, not this one
-        cp = policy.controlplane
-        if cp is not None and cp._staged is not None:
-            return True  # a canary generation is live on some CPUs
-        index = policy.index
-        token = (
-            index.epoch, index.default_allow,
-            None if cp is None else cp.generation,
-        )
-        return token != module.verify_token
+        return policy.version != module.verify_token
 
     def demote_module(self, loaded: LoadedModule, reason: str) -> None:
         """Drop a module's static elisions: every guard site runs

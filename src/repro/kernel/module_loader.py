@@ -124,9 +124,9 @@ class LoadedModule:
     #: proves in-policy; the execution engines skip (interpreter) or
     #: never emit (compiled) these sites.  Empty = full dynamic guarding.
     elided_guards: set = field(default_factory=set, repr=False, compare=False)
-    #: ``(policy_epoch, default_allow)`` the elisions were validated
-    #: against; a mismatch against the live table demotes the module.
-    verify_token: Optional[tuple] = None
+    #: The policy module's ``version`` the elisions were validated
+    #: against; any later version demotes the module.
+    verify_token: Optional[int] = None
     #: "verified" | "demoted:<reason>" | "" (never certified).
     verify_state: str = ""
 
@@ -315,16 +315,14 @@ class ModuleLoader:
         if table.epoch != cert.policy_epoch:
             return invalid("stale policy epoch")
         cp = policy.controlplane
-        if cp is not None and any(
-            len(t.table) for t in cp.tenants.values()
-        ):
-            # The guard enforces the tenant-composed policy, but the
-            # certificate only proves the system namespace: a tenant
-            # region (first-match priority) could deny what the master
-            # table allows, so elision would be unsound.
+        if cp is not None and not cp.guard_view_is_master():
+            # The guard enforces the tenant-composed (or staged) policy,
+            # but the certificate only proves the system namespace: a
+            # tenant region (first-match priority) could deny what the
+            # master table allows, so elision would be unsound.
             return invalid(
-                "policy is tenant-composed; certificate proves the "
-                "system namespace only"
+                "policy is tenant-composed or staged; certificate proves "
+                "the system namespace only"
             )
         contracts = kernel.contracts_for(compiled.name)
         if (contracts or EMPTY_CONTRACTS).digest() != cert.contracts_digest:
@@ -335,10 +333,7 @@ class ModuleLoader:
         loaded.elided_guards = elidable_guard_ids(
             compiled.ir, report.proven_map()
         )
-        loaded.verify_token = (
-            table.epoch, table.default_allow,
-            None if cp is None else cp.generation,
-        )
+        loaded.verify_token = policy.version
         loaded.verify_state = "verified"
 
     def _unwind_mapping(self, loaded: LoadedModule) -> None:

@@ -167,10 +167,7 @@ class _TornReplica:
     the tripwire: if repair ever misses, the guard path fails loudly
     rather than silently diverging."""
 
-    __slots__ = ("epoch",)
-
-    def __init__(self) -> None:
-        self.epoch = -1
+    __slots__ = ()
 
     def check(self, addr: int, size: int, flags: int):
         raise RuntimeError(
@@ -267,7 +264,7 @@ class PolicyControlPlane:
         self._publish(self._current, self.generation,
                       self.kernel.smp.cpus(), force_on_exhaust=True)
         self.policy.controlplane = self
-        self.policy.bump_guard_epoch()
+        self.policy.bump_version()
         self.kernel.dmesg(
             f"carat_cp: control plane attached (generation 1, "
             f"{self.kernel.smp.ncpus} replica slot(s))"
@@ -277,7 +274,7 @@ class PolicyControlPlane:
     def detach(self) -> None:
         if self.policy.controlplane is self:
             self.policy.controlplane = None
-            self.policy.bump_guard_epoch()
+            self.policy.bump_version()
 
     # -- tenants ------------------------------------------------------------
 
@@ -521,8 +518,7 @@ class PolicyControlPlane:
             violations_base=self._total_violations(),
             owner=owner,
         )
-        # Canary CPUs now read gen; invalidate their cached decisions.
-        self.policy.bump_guard_epoch()
+        self.policy.bump_version()
         self.kernel.on_policy_mutated()
         if self._tp_stage.enabled:
             self._tp_stage.emit(generation=gen, tenant=tenant.name,
@@ -533,6 +529,13 @@ class PolicyControlPlane:
             f"(canary cpus {list(canary)}, {len(snapshot)} regions)"
         )
         return gen
+
+    def guard_view_is_master(self) -> bool:
+        """Whether every CPU's guard reads exactly the master table (no
+        tenant regions, no staged canary): all a certificate proves."""
+        return self._staged is None and not any(
+            len(t.table) for t in self.tenants.values()
+        )
 
     def _total_violations(self) -> int:
         return sum(self.policy.violations.values())
@@ -577,7 +580,7 @@ class PolicyControlPlane:
         tenant.batches_promoted += 1
         self.kernel.journal.drop(staged.owner)
         self.promotions += 1
-        self.policy.bump_guard_epoch()
+        self.policy.bump_version()
         self.kernel.on_policy_mutated()
         if self._tp_promote.enabled:
             self._tp_promote.emit(generation=staged.gen, tenant=tenant.name,
@@ -606,7 +609,7 @@ class PolicyControlPlane:
             "policy_ops": summary["policy_ops"],
         }
         self.rollback_records.append(record)
-        self.policy.bump_guard_epoch()
+        self.policy.bump_version()
         self.kernel.on_policy_mutated()
         if self._tp_rollback.enabled:
             self._tp_rollback.emit(generation=gen, tenant=tenant.name,
@@ -693,7 +696,7 @@ class PolicyControlPlane:
         self._current = snapshot
         self.generation = gen
         self.promotions += 1
-        self.policy.bump_guard_epoch()
+        self.policy.bump_version()
 
     # -- the guard-facing read path -------------------------------------------
 

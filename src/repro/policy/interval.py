@@ -152,7 +152,7 @@ class IntervalRegionTable(RegionTable):
 
     def check(self, addr: int, size: int, flags: int) -> Decision:
         return self._current_lookup().check(
-            addr, size, flags, self.default_allow
+            addr, size, flags, self._default_allow
         )
 
     def snapshot(self) -> IntervalTableReplica:

@@ -128,27 +128,24 @@ class PolicyStats:
 class _GuardCache:
     """Memoized guard decisions for one policy index.
 
-    Valid only while the index's ``(epoch, default_allow)`` token and the
-    policy's enforcement epoch are unchanged; any region add/remove/clear
-    bumps the index epoch, and any enforcement-mode change (global or
-    per-module) bumps the enforcement epoch — either way the next guard
-    rebuilds from an empty dict.  Stores the full ``(allowed, scanned)``
-    decision so the caller's stats and the machine model's per-entry
-    guard cost are identical with and without the cache.
+    Valid only while the policy's :attr:`CaratPolicyModule.version` is
+    the one recorded here: any change a guard can read (a region or
+    default change on any bound index, a control-plane transition) bumps
+    the version, and the next guard rebuilds from an empty dict.
+    Enforcement-mode changes clear ``decisions`` in place instead.
+    Stores the full ``(allowed, scanned)`` decision so the caller's
+    stats and the machine model's per-entry guard cost are identical
+    with and without the cache.
     """
 
-    __slots__ = ("index", "epoch", "default_allow", "enforce_epoch",
-                 "decisions")
+    __slots__ = ("version", "decisions")
 
     #: Safety valve for scan-everything workloads; steady-state driver
     #: loops touch a few dozen distinct (addr, size, flags) keys.
     MAX_ENTRIES = 1 << 16
 
-    def __init__(self, index, enforce_epoch: int = 0):
-        self.index = index
-        self.epoch = index.epoch
-        self.default_allow = index.default_allow
-        self.enforce_epoch = enforce_epoch
+    def __init__(self, version: int):
+        self.version = version
         self.decisions: dict = {}
 
 
@@ -163,7 +160,11 @@ class CaratPolicyModule:
         mode: Optional[str] = None,
     ):
         self.kernel = kernel
+        #: The policy-view version, bumped by every change to what a guard
+        #: can read; guard caches and -O3 elisions compare against it.
+        self.version = 0
         self.index = index if index is not None else RegionTable()
+        self.index.owner = self  # an index serves one policy module
         if mode is None:
             mode = MODE_PANIC if enforce else MODE_AUDIT
         elif mode not in MODES:
@@ -174,9 +175,6 @@ class CaratPolicyModule:
         #: Per-module denied-access counts (every guard flavour, every
         #: mode — audit runs use this for the would-have-denied tally).
         self.violations: dict[str, int] = {}
-        #: Bumped on any mode change; part of the guard cache's validity
-        #: token, so stale decisions never outlive an enforcement switch.
-        self._enforce_epoch = 0
         ncpus = kernel.smp.ncpus
         #: Per-CPU counters (DEFINE_PER_CPU style): each simulated CPU
         #: bumps only its own slot; :attr:`stats` merges on read.
@@ -195,11 +193,9 @@ class CaratPolicyModule:
         #: could be consulted" per module).  A module with an entry here
         #: is checked against ITS table; others use the global index.
         self.module_indexes: dict[str, object] = {}
-        #: Guard-decision caches, per CPU and per pure-check index, keyed
-        #: by ``id(index)`` (each cache holds a strong ref to its index,
-        #: so ids cannot be reused while an entry is live; identity is
-        #: re-verified on lookup anyway).  Per-CPU so the hot path never
-        #: shares a dict between CPUs — the PR 2 epoch cache, sharded.
+        #: Guard-decision caches, per CPU and per pure-check index (keyed
+        #: by the index object itself).  Per-CPU so the hot path never
+        #: shares a dict between CPUs.
         self._guard_caches: PerCpu = PerCpu(ncpus, lambda cpu: {})
         # One-entry binding memo for the hot path, one per CPU: the last
         # index checked on that CPU and its cache (None for impure
@@ -221,6 +217,17 @@ class CaratPolicyModule:
         self.replica_refreshes = 0
         self._installed = False
         self._tp_deny = kernel.trace.points["guard:deny"]
+
+    def bump_version(self) -> None:
+        """The one freshness bump (bound indexes, control plane)."""
+        self.version += 1
+
+    def _clear_guard_caches(self) -> None:
+        """Drop every CPU's cached decisions.  Mode changes use this, not
+        :attr:`version`: they never change a decision or an elision."""
+        for caches in self._guard_caches:
+            for cache in caches.values():
+                cache.decisions.clear()
 
     @property
     def stats(self) -> PolicyStats:
@@ -288,7 +295,7 @@ class CaratPolicyModule:
             raise ValueError(f"unknown enforcement mode {mode!r}")
         if mode != self.mode:
             self.mode = mode
-            self._enforce_epoch += 1
+            self._clear_guard_caches()
 
     def set_mode(self, mode: str) -> None:
         """Switch the global enforcement mode (logged, unlike the legacy
@@ -304,7 +311,7 @@ class CaratPolicyModule:
         """Set (or, with ``None``, clear) a per-module mode override."""
         if mode is None:
             if self.module_modes.pop(module_name, None) is not None:
-                self._enforce_epoch += 1
+                self._clear_guard_caches()
                 self.kernel.dmesg(
                     f"{MODULE_NAME}: mode override cleared for {module_name}"
                 )
@@ -313,7 +320,7 @@ class CaratPolicyModule:
             raise ValueError(f"unknown enforcement mode {mode!r}")
         if self.module_modes.get(module_name) != mode:
             self.module_modes[module_name] = mode
-            self._enforce_epoch += 1
+            self._clear_guard_caches()
             self.kernel.dmesg(
                 f"{MODULE_NAME}: mode override {module_name} -> {mode}"
             )
@@ -323,14 +330,6 @@ class CaratPolicyModule:
         if self.module_modes:
             return self.module_modes.get(module_name, self.mode)
         return self.mode
-
-    def bump_guard_epoch(self) -> None:
-        """Invalidate every per-CPU guard-decision cache.  The control
-        plane calls this at stage/promote/rollback transitions: the
-        master table's epoch does not move when the *composed* policy a
-        CPU reads changes generation, so the enforcement epoch (already
-        part of every cache's validity token) carries the bump."""
-        self._enforce_epoch += 1
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -376,13 +375,14 @@ class CaratPolicyModule:
 
     def _bind_cache(self, index, cpu: int) -> Optional[_GuardCache]:
         """Resolve ``cpu``'s decision cache for ``index`` (``None`` if
-        the index is impure) and memoize the binding for the next guard."""
+        the index is impure), bind the index so its mutations bump
+        :attr:`version`, and memoize the binding for the next guard."""
+        index.owner = self
         if getattr(index, "pure_check", False):
             caches = self._guard_caches[cpu]
-            cache = caches.get(id(index))
-            if cache is None or cache.index is not index:
-                cache = _GuardCache(index, self._enforce_epoch)
-                caches[id(index)] = cache
+            cache = caches.get(index)
+            if cache is None:
+                cache = caches[index] = _GuardCache(self.version)
         else:
             cache = None
         self._fast_index[cpu] = index
@@ -419,9 +419,9 @@ class CaratPolicyModule:
 
         Only the global region table is replicated; per-module tables
         and non-table indexes go straight to the master.  A replica
-        whose ``(master, epoch, default_allow)`` token mismatches the
-        live master (someone mutated it without the ioctl write path)
-        is rebuilt CPU-locally first.  Replica scans are byte-identical
+        whose master or content ``epoch`` mismatches the live master
+        (someone mutated it without the ioctl write path) is rebuilt
+        CPU-locally first.  Replica scans are byte-identical
         to master scans, so every simulated counter is unchanged."""
         if index is not self.index or not isinstance(index, RegionTable):
             return index.check(addr, size, flags)
@@ -441,8 +441,7 @@ class CaratPolicyModule:
         try:
             slot = self._replicas[cpu]
             if (slot is None or slot[0] is not index
-                    or slot[1].epoch != index.epoch
-                    or slot[1].default_allow != index.default_allow):
+                    or slot[1].epoch != index.epoch):
                 slot = (index, index.snapshot())
                 self._replicas[cpu] = slot
                 self.replica_refreshes += 1
@@ -464,12 +463,8 @@ class CaratPolicyModule:
         else:
             cache = self._bind_cache(index, cpu)
         if cache is not None:
-            if (cache.epoch != index.epoch
-                    or cache.default_allow != index.default_allow
-                    or cache.enforce_epoch != self._enforce_epoch):
-                cache.epoch = index.epoch
-                cache.default_allow = index.default_allow
-                cache.enforce_epoch = self._enforce_epoch
+            if cache.version != self.version:
+                cache.version = self.version
                 cache.decisions.clear()
             key = (addr, size, flags)
             decision = cache.decisions.get(key)
@@ -674,6 +669,7 @@ class CaratPolicyModule:
             index = self.module_indexes.get(name)
             if index is None:
                 index = RegionTable(default_allow=False)
+                index.owner = self
                 self.module_indexes[name] = index
             existing = index.overlapping(base, length)
             if existing is not None:
@@ -694,7 +690,8 @@ class CaratPolicyModule:
             self.kernel.on_policy_mutated()
             return struct.pack("<I", idx)
         if cmd == CMD_CLEAR_FOR:
-            self.module_indexes.pop(self._decode_name(arg), None)
+            if self.module_indexes.pop(self._decode_name(arg), None) is not None:
+                self.bump_version()
             self.kernel.on_policy_mutated()
             return b""
         if cmd == CMD_SET_MODE:

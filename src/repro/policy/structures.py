@@ -30,28 +30,21 @@ import bisect
 from typing import Optional
 
 from .region import Decision, Region
-from .table import MAX_REGIONS, PolicyTableFull, RegionTable
+from .table import MAX_REGIONS, IndexBase, PolicyTableFull, RegionTable
 
 
 class OverlapError(ValueError):
     """This structure cannot represent overlapped regions (paper §3.1)."""
 
 
-class _NonOverlappingBase:
-    """Shared bookkeeping for indexes that require disjoint regions."""
+class _NonOverlappingBase(IndexBase):
+    """Indexes that require disjoint regions (``_regions`` sorted by base)."""
 
     supports_overlap = False
     #: Whether ``check`` is a pure function of (regions, default_allow);
     #: structures that mutate on lookup must set this False so the
     #: guard-decision cache bypasses them (see policy/module.py).
     pure_check = True
-
-    def __init__(self, default_allow: bool = False, max_regions: int = MAX_REGIONS):
-        self.default_allow = default_allow
-        self.max_regions = max_regions
-        self._regions: list[Region] = []  # sorted by base
-        #: Bumped on every mutation; guard-decision caches key on it.
-        self.epoch = 0
 
     def _check_insert(self, region: Region) -> int:
         if len(self._regions) >= self.max_regions:
@@ -67,29 +60,6 @@ class _NonOverlappingBase:
                 )
         return idx
 
-    def remove(self, base: int, length: int) -> bool:
-        for i, r in enumerate(self._regions):
-            if r.base == base and r.length == length:
-                del self._regions[i]
-                self.epoch += 1
-                self._on_mutate()
-                return True
-        return False
-
-    def clear(self) -> None:
-        self._regions.clear()
-        self.epoch += 1
-        self._on_mutate()
-
-    def regions(self) -> list[Region]:
-        return list(self._regions)
-
-    def __len__(self) -> int:
-        return len(self._regions)
-
-    def _on_mutate(self) -> None:  # hook for caches/filters
-        pass
-
 
 class SortedRegionIndex(_NonOverlappingBase):
     """Sorted array + binary search: the paper's O(log n) first step."""
@@ -104,7 +74,7 @@ class SortedRegionIndex(_NonOverlappingBase):
         idx = self._check_insert(region)
         self._regions.insert(idx, region)
         self._bases.insert(idx, region.base)
-        self.epoch += 1
+        self._changed()
         return idx
 
     def _on_mutate(self) -> None:
@@ -123,12 +93,12 @@ class SortedRegionIndex(_NonOverlappingBase):
             else:
                 hi = mid
         if lo == 0:
-            return self.default_allow, max(steps, 1)
+            return self._default_allow, max(steps, 1)
         r = self._regions[lo - 1]
         steps += 1
         if r.covers(addr, size):
             return r.permits(flags), steps
-        return self.default_allow, steps
+        return self._default_allow, steps
 
 
 class _SplayNode:
@@ -173,7 +143,7 @@ class SplayRegionIndex(_NonOverlappingBase):
                 node.left = self._root
                 self._root.right = None
             self._root = node
-        self.epoch += 1
+        self._changed()
         return idx
 
     def _on_mutate(self) -> None:
@@ -239,7 +209,7 @@ class SplayRegionIndex(_NonOverlappingBase):
 
     def check(self, addr: int, size: int, flags: int) -> Decision:
         if self._root is None:
-            return self.default_allow, 1
+            return self._default_allow, 1
         self._root, steps = self._splay(self._root, addr)
         node = self._root
         r = node.region
@@ -256,7 +226,7 @@ class SplayRegionIndex(_NonOverlappingBase):
                 cur = cur.right
         if candidate is not None and candidate.covers(addr, size):
             return candidate.permits(flags), steps
-        return self.default_allow, steps
+        return self._default_allow, steps
 
 
 class BloomFilter:
@@ -333,8 +303,12 @@ class AMQFilterIndex(_NonOverlappingBase):
         idx = self._check_insert(region)
         self._regions.insert(idx, region)
         self._insert_structures(region)
-        self.epoch += 1
+        self._changed()
         return idx
+
+    def _changed(self) -> None:
+        super()._changed()
+        self._backing.default_allow = self._default_allow  # a default flip
 
     def _insert_structures(self, region: Region) -> None:
         # Track live capacity changes (benchmarks sweep past 64 regions).
@@ -351,7 +325,7 @@ class AMQFilterIndex(_NonOverlappingBase):
     def _on_mutate(self) -> None:
         self._filter.clear()
         self._oversize.clear()
-        self._backing = RegionTable(self.default_allow, self.max_regions)
+        self._backing = RegionTable(self._default_allow, self.max_regions)
         for r in self._regions:
             self._insert_structures(r)
 
@@ -364,7 +338,7 @@ class AMQFilterIndex(_NonOverlappingBase):
         first = addr >> self.PAGE_SHIFT
         last = (addr + size - 1) >> self.PAGE_SHIFT
         if all(page not in self._filter for page in range(first, last + 1)):
-            return self.default_allow, steps
+            return self._default_allow, steps
         allowed, scanned = self._backing.check(addr, size, flags)
         return allowed, steps + scanned
 
@@ -392,7 +366,7 @@ class LSHBucketIndex(_NonOverlappingBase):
         idx = self._check_insert(region)
         self._regions.insert(idx, region)
         self._insert_structures(region)
-        self.epoch += 1
+        self._changed()
         return idx
 
     def _insert_structures(self, region: Region) -> None:
@@ -421,7 +395,7 @@ class LSHBucketIndex(_NonOverlappingBase):
             steps += 1
             if r.covers(addr, size):
                 return r.permits(flags), steps
-        return self.default_allow, steps
+        return self._default_allow, steps
 
 
 class CachedIndex:
@@ -449,6 +423,22 @@ class CachedIndex:
     @property
     def default_allow(self) -> bool:
         return self.inner.default_allow
+
+    @default_allow.setter
+    def default_allow(self, value: bool) -> None:
+        self.inner.default_allow = value
+
+    @property
+    def epoch(self) -> int:
+        return self.inner.epoch
+
+    @property
+    def owner(self):
+        return self.inner.owner
+
+    @owner.setter
+    def owner(self, policy) -> None:
+        self.inner.owner = policy
 
     def add(self, region: Region) -> int:
         self._cached = None

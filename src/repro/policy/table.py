@@ -37,9 +37,9 @@ class RegionTableReplica:
     semantics, same ``(allowed, scanned)`` counts — so replicated reads
     are indistinguishable from master reads in every simulated counter.
 
-    ``(epoch, default_allow)`` is the staleness token: it matches the
-    master's values at snapshot time, and a reader comparing it against
-    the live master can tell whether the replica is current.
+    ``epoch`` is the master's content epoch at snapshot time; since a
+    default flip moves the epoch too, a reader comparing it against the
+    live master can tell whether the replica is current.
     """
 
     name = "linear-table-replica"
@@ -66,7 +66,65 @@ class RegionTableReplica:
         return len(self._regions)
 
 
-class RegionTable:
+class IndexBase:
+    """Bookkeeping every mutable policy index shares: its regions, the
+    content ``epoch``, ``default_allow`` and the owner binding.
+
+    ``epoch`` moves on every change to what ``check`` can answer: a
+    region add/remove/clear or a default flip.  An index bound to a
+    policy module (``owner``) also bumps the module's ``version``, so a
+    direct poke at the index is seen exactly like an ioctl mutation.
+    """
+
+    def __init__(self, default_allow: bool = False,
+                 max_regions: int = MAX_REGIONS):
+        self._default_allow = default_allow
+        self.max_regions = max_regions
+        self._regions: list[Region] = []
+        self.epoch = 0
+        self.owner = None  #: the policy module reading this index, if any
+
+    @property
+    def default_allow(self) -> bool:
+        return self._default_allow
+
+    @default_allow.setter
+    def default_allow(self, value: bool) -> None:
+        if value != self._default_allow:
+            self._default_allow = value
+            self._changed()
+
+    def _changed(self) -> None:
+        self.epoch += 1
+        if self.owner is not None:
+            self.owner.bump_version()
+
+    def _on_mutate(self) -> None:
+        """Hook for derived lookup structures, after a remove or clear."""
+
+    def remove(self, base: int, length: int) -> bool:
+        """Remove the first region exactly matching (base, length)."""
+        for i, r in enumerate(self._regions):
+            if r.base == base and r.length == length:
+                del self._regions[i]
+                self._changed()
+                self._on_mutate()
+                return True
+        return False
+
+    def clear(self) -> None:
+        self._regions.clear()
+        self._changed()
+        self._on_mutate()
+
+    def regions(self) -> list[Region]:
+        return list(self._regions)
+
+    def __len__(self) -> int:
+        return len(self._regions)
+
+
+class RegionTable(IndexBase):
     """Linear-scan region table; first fully-covering region wins."""
 
     name = "linear-table"
@@ -74,14 +132,6 @@ class RegionTable:
     #: ``check`` neither mutates the structure nor keeps per-call state,
     #: so callers may memoize its decisions per :attr:`epoch`.
     pure_check = True
-
-    def __init__(self, default_allow: bool = False,
-                 max_regions: int = MAX_REGIONS):
-        self.default_allow = default_allow
-        self.max_regions = max_regions
-        self._regions: list[Region] = []
-        #: Bumped on every mutation; guard-decision caches key on it.
-        self.epoch = 0
 
     # -- mutation ----------------------------------------------------------
 
@@ -92,21 +142,8 @@ class RegionTable:
                 f"policy table is limited to {self.max_regions} regions"
             )
         self._regions.append(region)
-        self.epoch += 1
+        self._changed()
         return len(self._regions) - 1
-
-    def remove(self, base: int, length: int) -> bool:
-        """Remove the first region exactly matching (base, length)."""
-        for i, r in enumerate(self._regions):
-            if r.base == base and r.length == length:
-                del self._regions[i]
-                self.epoch += 1
-                return True
-        return False
-
-    def clear(self) -> None:
-        self._regions.clear()
-        self.epoch += 1
 
     # -- queries --------------------------------------------------------------
 
@@ -116,7 +153,7 @@ class RegionTable:
         for i, r in enumerate(regions):
             if r.base <= addr and addr + size <= r.base + r.length:
                 return (r.prot & flags) == flags, i + 1
-        return self.default_allow, len(regions)
+        return self._default_allow, len(regions)
 
     def check_range(self, lo: int, hi: int, size: int, flags: int) -> bool:
         """Static range query for the load-time verifier: would ``check``
@@ -198,12 +235,6 @@ class RegionTable:
             tuple(self._regions), self.default_allow, self.epoch
         )
 
-    def regions(self) -> list[Region]:
-        return list(self._regions)
-
-    def __len__(self) -> int:
-        return len(self._regions)
-
     def describe(self) -> str:
         lines = [
             f"policy: {len(self._regions)} region(s), "
@@ -213,4 +244,7 @@ class RegionTable:
         return "\n".join(lines)
 
 
-__all__ = ["MAX_REGIONS", "PolicyTableFull", "RegionTable", "RegionTableReplica"]
+__all__ = [
+    "IndexBase", "MAX_REGIONS", "PolicyTableFull", "RegionTable",
+    "RegionTableReplica",
+]

@@ -56,7 +56,7 @@ def memory_program(draw):
     return "\n".join(lines)
 
 
-def _execute(source: str, protect: bool, optimize_guards: bool, seeds):
+def _execute(source: str, protect: bool, opt_level: int, seeds):
     kernel = Kernel()
     if protect:
         policy = CaratPolicyModule(kernel).install()
@@ -64,8 +64,7 @@ def _execute(source: str, protect: bool, optimize_guards: bool, seeds):
     compiled = compile_module(
         source,
         CompileOptions(
-            module_name="prog", protect=protect,
-            optimize_guards=optimize_guards,
+            module_name="prog", protect=protect, opt_level=opt_level,
         ),
     )
     loaded = kernel.insmod(compiled)
@@ -78,8 +77,8 @@ def _execute(source: str, protect: bool, optimize_guards: bool, seeds):
     st.lists(st.integers(0, _M64), min_size=1, max_size=3),
 )
 def test_guarded_equals_baseline(source, seeds):
-    baseline = _execute(source, protect=False, optimize_guards=False, seeds=seeds)
-    guarded = _execute(source, protect=True, optimize_guards=False, seeds=seeds)
+    baseline = _execute(source, protect=False, opt_level=0, seeds=seeds)
+    guarded = _execute(source, protect=True, opt_level=0, seeds=seeds)
     assert guarded == baseline
 
 
@@ -89,8 +88,8 @@ def test_guarded_equals_baseline(source, seeds):
     st.lists(st.integers(0, _M64), min_size=1, max_size=2),
 )
 def test_guard_optimizer_preserves_semantics(source, seeds):
-    plain = _execute(source, protect=True, optimize_guards=False, seeds=seeds)
-    optimized = _execute(source, protect=True, optimize_guards=True, seeds=seeds)
+    plain = _execute(source, protect=True, opt_level=0, seeds=seeds)
+    optimized = _execute(source, protect=True, opt_level=1, seeds=seeds)
     assert optimized == plain
 
 

@@ -135,7 +135,7 @@ class TestLoopHoisting:
 
         kernel = Kernel()
         results = {}
-        for label, optimize_guards in (("plain", False), ("opt", True)):
+        for label, opt_level in (("plain", 0), ("opt", 1)):
             compiled = compile_module(
                 """
                 long data[8];
@@ -148,7 +148,7 @@ class TestLoopHoisting:
                 """,
                 CompileOptions(
                     module_name=f"hm_{label}", protect=True,
-                    optimize_guards=optimize_guards,
+                    opt_level=opt_level,
                 ),
             )
             # No policy module: run unenforced by loading into a kernel with
@@ -171,7 +171,7 @@ class TestLoopHoisting:
         from repro.kernel import Kernel
 
         counts = {}
-        for optimize_guards in (False, True):
+        for opt_level in (0, 1):
             k = Kernel()
             executed = [0]
 
@@ -184,13 +184,13 @@ class TestLoopHoisting:
                 self.LOOP,
                 CompileOptions(
                     module_name="lm", protect=True,
-                    optimize_guards=optimize_guards,
+                    opt_level=opt_level,
                 ),
             )
             loaded = k.insmod(compiled)
             buf = k.kmalloc_allocator.kmalloc(8)
             k.run_function(loaded, "f", [buf, 50])
-            counts[optimize_guards] = executed[0]
-        assert counts[True] < counts[False]
-        assert counts[False] >= 50  # one guard per iteration unoptimized
-        assert counts[True] <= 3    # hoisted: constant per call
+            counts[opt_level] = executed[0]
+        assert counts[1] < counts[0]
+        assert counts[0] >= 50  # one guard per iteration unoptimized
+        assert counts[1] <= 3   # hoisted: constant per call

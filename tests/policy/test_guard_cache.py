@@ -1,10 +1,10 @@
-"""The guard-decision cache: epoch-keyed memoization of policy checks.
+"""The guard-decision cache: version-keyed memoization of policy checks.
 
 The policy module may memoize ``index.check`` results only for indexes
 declaring ``pure_check`` (the linear table and the sorted index); the
 splay tree and the one-entry-cache index mutate on lookup, so caching
 their decisions would change the structures' observable state.  Any
-region mutation bumps the index ``epoch`` and must invalidate every
+region mutation bumps the policy ``version`` and must invalidate every
 cached decision, and the cached path must report the same ``(allowed,
 scanned)`` pair — and therefore the same stats and guard cycle costs —
 as the uncached one.
@@ -74,8 +74,8 @@ def test_default_allow_flip_invalidates():
     table = policy.index
     policy._guard(None, 0x4000, 8, abi.FLAG_READ)
     assert policy.stats.denied == 1
-    # Flipping the default does not move the epoch, but the cache keys on
-    # (epoch, default_allow) and must still notice.
+    # Flipping the default moves the index epoch and, through the bound
+    # index, the policy version the cache keys on.
     table.default_allow = True
     policy._guard(None, 0x4000, 8, abi.FLAG_READ)
     assert policy.stats.allowed == 1
@@ -141,8 +141,8 @@ def test_stats_dict_exposes_cache_counters():
 
 
 def test_enforcement_mode_change_invalidates():
-    """Satellite regression: switching the enforcement mode bumps the
-    enforce epoch, so cached decisions never outlive a mode change."""
+    """Satellite regression: switching the enforcement mode clears the
+    decision caches, so cached decisions never outlive a mode change."""
     from repro.policy import MODE_EJECT
 
     policy = _policy()
@@ -155,7 +155,7 @@ def test_enforcement_mode_change_invalidates():
     # The first guard after the switch re-checks (miss), not a stale hit.
     assert policy.stats.guard_cache_misses == 2
     assert policy.stats.guard_cache_hits == 2
-    # ...and subsequent guards cache again under the new epoch.
+    # ...and subsequent guards cache again under the new mode.
     policy._guard(None, 0x1800, 8, abi.FLAG_READ)
     assert policy.stats.guard_cache_hits == 3
 
@@ -181,7 +181,7 @@ def test_noop_mode_set_does_not_invalidate():
     policy = _policy()
     policy.index.add(Region(0x1000, 0x1000, RW))
     policy._guard(None, 0x1800, 8, abi.FLAG_READ)
-    policy.set_mode(policy.mode)  # same mode: no epoch bump
+    policy.set_mode(policy.mode)  # same mode: no invalidation
     policy.enforce = policy.enforce  # same legacy flag: no bump either
     policy._guard(None, 0x1800, 8, abi.FLAG_READ)
     assert policy.stats.guard_cache_misses == 1
