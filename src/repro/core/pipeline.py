@@ -18,7 +18,8 @@ same optimization flags, no guards, exactly the paper's §4.1 methodology
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from .. import abi
@@ -35,7 +36,7 @@ from ..passes import (
     PassManager,
     PeepholePass,
 )
-from ..passes.absint import ModuleVerifier
+from ..passes.absint import EMPTY_CONTRACTS, ModuleVerifier, VerificationReport
 from ..passes.intrinsic_guard import IntrinsicGuardPass
 from ..signing import (
     SigningKey,
@@ -141,6 +142,103 @@ class CompileStats:
             return 1.0
         return self.instructions_after / self.instructions_before_guards
 
+    def copy(self) -> "CompileStats":
+        return replace(self, passes_run=list(self.passes_run))
+
+
+#: Bound on the compile cache: least recently used entries beyond it are
+#: dropped.  Two drivers at four tiers fill 8 slots.
+COMPILE_CACHE_ENTRIES = 64
+
+
+@dataclass(frozen=True)
+class _CachedCompile:
+    """One post-pass compile.  ``ir`` is never handed out, only cloned."""
+
+    ir: Module
+    stats: CompileStats
+    report: Optional[VerificationReport]
+    #: sha256 of the IR's canonical bytes (verifying compiles only).
+    ir_digest: Optional[str]
+
+
+class _CompileCache:
+    """Process-global, content-addressed memo of :func:`compile_module`.
+
+    Keyed by :func:`_cache_key`: a digest of everything the post-pass IR
+    and the static verdicts depend on.  A hit skips the front end, the
+    passes and the analysis; signing and the certificate's policy epoch
+    are per request, and insmod re-checks everything as before."""
+
+    __slots__ = ("entries", "hits", "misses")
+
+    def __init__(self):
+        self.entries: OrderedDict[str, _CachedCompile] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: str) -> Optional[_CachedCompile]:
+        entry = self.entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.entries.move_to_end(key)
+        return entry
+
+    def put(self, key: str, entry: _CachedCompile) -> None:
+        self.entries[key] = entry
+        while len(self.entries) > COMPILE_CACHE_ENTRIES:
+            self.entries.popitem(last=False)
+
+    def stats(self) -> dict:
+        return {
+            "entries": len(self.entries),
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.hits = 0
+        self.misses = 0
+
+
+#: The process-global compile cache.
+COMPILE_CACHE = _CompileCache()
+
+
+def _verifying(opts: CompileOptions) -> bool:
+    return bool(opts.protect and opts.verify_enabled()
+                and opts.verify_table is not None)
+
+
+def _cache_key(source: Union[str, Module],
+               opts: CompileOptions) -> Optional[str]:
+    """The cache key, or ``None`` when the compile bypasses the cache (IR
+    passed in, or a verify table that cannot digest its content).
+
+    The signing key and ``verify_each_pass`` are left out: neither
+    changes the IR or the verdicts.  The table enters by content, not
+    by ``epoch``, so a region added and removed again hits."""
+    if not isinstance(source, str):
+        return None
+    table_digest = ""
+    if _verifying(opts):
+        digest = getattr(opts.verify_table, "digest", None)
+        if digest is None:
+            return None
+        table_digest = digest()
+    fields = (
+        opts.module_name, opts.protect, opts.resolved_opt_level(),
+        opts.guard_opt_toggles(), opts.verify_enabled(),
+        opts.guard_intrinsics, opts.guard_calls, opts.optimize,
+        (opts.contracts or EMPTY_CONTRACTS).digest(), table_digest,
+    )
+    h = hashlib.sha256(source.encode())
+    h.update(repr(fields).encode())
+    return h.hexdigest()
+
 
 def compile_module(
     source: Union[str, Module],
@@ -148,11 +246,61 @@ def compile_module(
     **kwargs,
 ) -> CompiledModule:
     """Compile mini-C source (or transform existing IR) into a loadable,
-    optionally protected, optionally signed module."""
+    optionally protected, optionally signed module.
+
+    Source compiles go through :data:`COMPILE_CACHE`; every call gets
+    its own IR, stats, signature and certificate."""
     opts = options or CompileOptions(**kwargs)
     if options is not None and kwargs:
         raise TypeError("pass either options or keyword overrides, not both")
 
+    key = _cache_key(source, opts)
+    entry = COMPILE_CACHE.get(key) if key is not None else None
+    if entry is not None:
+        ir = entry.ir.clone()
+        stats = entry.stats.copy()
+        report, ir_digest = entry.report, entry.ir_digest
+    else:
+        ir, stats, report = _compile(source, opts)
+        ir_digest = (hashlib.sha256(canonical_bytes(ir)).hexdigest()
+                     if report is not None else None)
+
+    signature = sign_module(ir, opts.key) if opts.key is not None else None
+    certificate = None
+    if report is not None:
+        table = opts.verify_table
+        certificate = VerificationCertificate(
+            module_name=ir.name,
+            ir_digest=ir_digest,
+            policy_digest=table.digest(),
+            policy_epoch=table.epoch,
+            contracts_digest=report.contracts_digest,
+            verdicts=report.verdicts,
+            guards_proven=report.guards_proven,
+            guards_dynamic=report.guards_dynamic,
+        )
+    if key is not None and entry is None:
+        COMPILE_CACHE.put(key, _CachedCompile(
+            ir=ir.clone(),
+            stats=stats.copy(),
+            report=report,
+            ir_digest=ir_digest,
+        ))
+    compiled = CompiledModule(
+        ir=ir,
+        signature=signature,
+        source_lines=stats.source_lines,
+        certificate=certificate,
+    )
+    compiled.stats = stats  # type: ignore[attr-defined]
+    return compiled
+
+
+def _compile(
+    source: Union[str, Module], opts: CompileOptions
+) -> tuple[Module, CompileStats, Optional[VerificationReport]]:
+    """Front end, passes and (for a verifying compile) the static
+    analysis: everything the compile cache stores."""
     stats = CompileStats()
     if isinstance(source, str):
         stats.source_lines = sum(
@@ -210,9 +358,9 @@ def compile_module(
 
     # -O3: prove guard ranges against the live policy table.  The
     # verdicts are computed on the final IR (after guard opt), so the
-    # signature below attests to exactly the code the verdicts describe.
+    # signature attests to exactly the code the verdicts describe.
     report = None
-    if opts.protect and opts.verify_enabled() and opts.verify_table is not None:
+    if _verifying(opts):
         verifier = ModuleVerifier(ir, opts.verify_table, opts.contracts)
         report = verifier.run()
         stats.guards_proven = report.guards_proven
@@ -228,29 +376,13 @@ def compile_module(
         if report is not None:
             ir.metadata[abi.META_GUARDS_PROVEN] = stats.guards_proven
             ir.metadata[abi.META_GUARDS_DYNAMIC] = stats.guards_dynamic
-
-    signature = sign_module(ir, opts.key) if opts.key is not None else None
-    certificate = None
-    if report is not None:
-        table = opts.verify_table
-        certificate = VerificationCertificate(
-            module_name=ir.name,
-            ir_digest=hashlib.sha256(canonical_bytes(ir)).hexdigest(),
-            policy_digest=table.digest(),
-            policy_epoch=table.epoch,
-            contracts_digest=report.contracts_digest,
-            verdicts=report.verdicts,
-            guards_proven=report.guards_proven,
-            guards_dynamic=report.guards_dynamic,
-        )
-    compiled = CompiledModule(
-        ir=ir,
-        signature=signature,
-        source_lines=stats.source_lines,
-        certificate=certificate,
-    )
-    compiled.stats = stats  # type: ignore[attr-defined]
-    return compiled
+    return ir, stats, report
 
 
-__all__ = ["CompileOptions", "CompileStats", "compile_module"]
+__all__ = [
+    "COMPILE_CACHE",
+    "COMPILE_CACHE_ENTRIES",
+    "CompileOptions",
+    "CompileStats",
+    "compile_module",
+]

@@ -6,7 +6,7 @@ from typing import Iterable, Iterator, Optional
 
 from .instructions import Instruction, Phi
 from .types import FunctionType, IRType, PointerType, StructType
-from .values import Argument, GlobalValue, GlobalVariable
+from .values import Argument, GlobalValue, GlobalVariable, Value
 
 
 class BasicBlock:
@@ -268,11 +268,83 @@ class Module:
     def instruction_count(self) -> int:
         return sum(len(b) for f in self.defined_functions() for b in f.blocks)
 
+    # -- copying ------------------------------------------------------------
+
+    def clone(self) -> "Module":
+        """A structurally identical copy that shares no global, function,
+        argument, block or instruction with this module.  Types and
+        constants are immutable and stay shared.
+
+        One walk creates every new object and records it in a value map;
+        a second fills each instruction's fields through that map, so
+        forward references (phis, back edges) resolve."""
+        new = Module(self.name)
+        new.structs = dict(self.structs)
+        new.metadata = dict(self.metadata)
+        new.generation = self.generation
+        vmap: dict = {}
+        for name, g in self.globals.items():
+            ng = GlobalVariable(g.value_type, g.name, g.initializer,
+                                g.linkage, g.is_const)
+            new.globals[name] = vmap[g] = ng
+        pending: list[tuple[Instruction, Instruction]] = []
+        for name, fn in self.functions.items():
+            nf = Function(fn.name, fn.function_type,
+                          [a.name for a in fn.args], fn.linkage)
+            nf.attributes = set(fn.attributes)
+            nf._name_counter = fn._name_counter
+            new.functions[name] = vmap[fn] = nf
+            vmap.update(zip(fn.args, nf.args))
+            for b in fn.blocks:
+                nb = BasicBlock(b.name, nf)
+                nf.blocks.append(nb)
+                vmap[b] = nb
+                for inst in b.instructions:
+                    ni = object.__new__(type(inst))
+                    ni.parent = nb
+                    nb.instructions.append(ni)
+                    vmap[inst] = ni
+                    pending.append((inst, ni))
+
+        def remap(v):
+            if isinstance(v, (Value, BasicBlock)):
+                return vmap.get(v, v)
+            if isinstance(v, list):
+                return [remap(x) for x in v]
+            if isinstance(v, tuple):
+                return tuple(remap(x) for x in v)
+            return v
+
+        get = vmap.get
+        for inst, ni in pending:
+            ni.type = inst.type
+            ni.name = inst.name
+            ni.operands = [get(op, op) for op in inst.operands]
+            for slot in _extra_slots(type(inst)):
+                setattr(ni, slot, remap(getattr(inst, slot)))
+        return new
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Module {self.name}: {len(self.functions)} functions, "
             f"{len(self.globals)} globals>"
         )
+
+
+#: Per instruction class, the slots :meth:`Module.clone` copies beyond
+#: the four every instruction has (type, name, operands, parent).
+_EXTRA_SLOTS: dict[type, tuple[str, ...]] = {}
+
+
+def _extra_slots(cls: type) -> tuple[str, ...]:
+    slots = _EXTRA_SLOTS.get(cls)
+    if slots is None:
+        slots = _EXTRA_SLOTS[cls] = tuple(
+            s for k in reversed(cls.__mro__)
+            for s in k.__dict__.get("__slots__", ())
+            if s not in ("type", "name", "operands", "parent")
+        )
+    return slots
 
 
 __all__ = ["BasicBlock", "Function", "Module"]

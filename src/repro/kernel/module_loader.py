@@ -553,11 +553,5 @@ class ModuleLoader:
         )
         return summary
 
-    def find_module_for_function(self, fn: Function) -> Optional[LoadedModule]:
-        for m in self.loaded.values():
-            if fn.name in m.ir.functions and m.ir.functions[fn.name] is fn:
-                return m
-        return None
-
 
 __all__ = ["CompiledModule", "LoadError", "LoadedModule", "ModuleLoader"]

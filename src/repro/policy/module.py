@@ -149,6 +149,13 @@ class _GuardCache:
         self.decisions: dict = {}
 
 
+def _ctx_module_name(ctx) -> str:
+    """The module a guard's execution context is running, or ``"?"``."""
+    if ctx is not None and ctx.current_module is not None:
+        return ctx.current_module.name
+    return "?"
+
+
 class CaratPolicyModule:
     """The policy module; one per kernel."""
 
@@ -499,56 +506,31 @@ class CaratPolicyModule:
             return scanned
         stats.denied += 1
         mstats[1] += 1
-        self._record_violation(
-            module_name, kind="memory", addr=addr, size=size, flags=flags
+        self._deny(
+            module_name, "memory",
+            f"DENY module={module_name} "
+            f"{abi.flags_name(flags)} {addr:#018x} size={size}",
+            addr=addr, size=size, flags=flags,
+            panic_detail=f"module {module_name}",
         )
-        self.kernel.dmesg(
-            f"{MODULE_NAME}: DENY module={module_name} "
-            f"{abi.flags_name(flags)} {addr:#018x} size={size}"
-        )
-        mode = self.mode_for(module_name)
-        if mode == MODE_PANIC:
-            violation = GuardViolation(addr, size, flags, f"module {module_name}")
-            self.kernel.panicked = violation.reason
-            self.kernel.dmesg(f"Kernel panic - not syncing: {violation.reason}")
-            raise violation
-        if mode != MODE_AUDIT:
-            raise ViolationFault(addr, size, flags, module_name, mode)
         return scanned
 
     def _intrinsic_guard(self, ctx, name_ptr: int) -> int:
         """Guard for privileged intrinsics (paper §5 extension)."""
         name = self.kernel.address_space.read_cstring(int(name_ptr)).decode()
-        module_name = (
-            ctx.current_module.name
-            if ctx is not None and ctx.current_module is not None
-            else "?"
-        )
+        module_name = _ctx_module_name(ctx)
         stats = self._cpu_stats[self.kernel.smp.current]
         stats.intrinsic_checks += 1
         if name in self.allowed_intrinsics:
             return 1
         stats.intrinsic_denied += 1
-        self._record_violation(
-            module_name, kind="intrinsic", flags=abi.FLAG_INTRINSIC,
-            detail=name,
+        self._deny(
+            module_name, "intrinsic",
+            f"DENY-INTRINSIC module={module_name} {name}",
+            flags=abi.FLAG_INTRINSIC, detail=name,
+            panic_detail=f"intrinsic {name} by {module_name}",
+            fault_detail=f"forbidden intrinsic {name} by module {module_name}",
         )
-        self.kernel.dmesg(
-            f"{MODULE_NAME}: DENY-INTRINSIC module={module_name} {name}"
-        )
-        mode = self.mode_for(module_name)
-        if mode == MODE_PANIC:
-            violation = GuardViolation(
-                0, 0, abi.FLAG_INTRINSIC, f"intrinsic {name} by {module_name}"
-            )
-            self.kernel.panicked = violation.reason
-            self.kernel.dmesg(f"Kernel panic - not syncing: {violation.reason}")
-            raise violation
-        if mode != MODE_AUDIT:
-            raise ViolationFault(
-                0, 0, abi.FLAG_INTRINSIC, module_name, mode,
-                detail=f"forbidden intrinsic {name} by module {module_name}",
-            )
         return 1
 
     def _call_guard(self, ctx, name_ptr: int) -> int:
@@ -558,31 +540,33 @@ class CaratPolicyModule:
         name = self.kernel.address_space.read_cstring(int(name_ptr)).decode()
         if name in self.allowed_calls:
             return 1
-        module_name = (
-            ctx.current_module.name
-            if ctx is not None and ctx.current_module is not None
-            else "?"
+        module_name = _ctx_module_name(ctx)
+        self._deny(
+            module_name, "call", f"DENY-CALL module={module_name} -> {name}",
+            flags=abi.FLAG_EXEC, detail=name,
+            panic_detail=f"call to {name} by {module_name}",
+            fault_detail=f"forbidden call to {name} by module {module_name}",
         )
-        self._record_violation(
-            module_name, kind="call", flags=abi.FLAG_EXEC, detail=name
-        )
-        self.kernel.dmesg(
-            f"{MODULE_NAME}: DENY-CALL module={module_name} -> {name}"
-        )
+        return 1
+
+    def _deny(self, module_name: str, kind: str, message: str, *,
+              addr: int = 0, size: int = 0, flags: int = 0, detail: str = "",
+              panic_detail: str, fault_detail: str = "") -> None:
+        """The shared tail of every guard's deny path: record the
+        violation, log ``message``, then act on the module's mode --
+        panic, fault (eject/isolate) or, under audit, return."""
+        self._record_violation(module_name, kind=kind, addr=addr, size=size,
+                               flags=flags, detail=detail)
+        self.kernel.dmesg(f"{MODULE_NAME}: {message}")
         mode = self.mode_for(module_name)
         if mode == MODE_PANIC:
-            violation = GuardViolation(
-                0, 0, abi.FLAG_EXEC, f"call to {name} by {module_name}"
-            )
+            violation = GuardViolation(addr, size, flags, panic_detail)
             self.kernel.panicked = violation.reason
             self.kernel.dmesg(f"Kernel panic - not syncing: {violation.reason}")
             raise violation
         if mode != MODE_AUDIT:
-            raise ViolationFault(
-                0, 0, abi.FLAG_EXEC, module_name, mode,
-                detail=f"forbidden call to {name} by module {module_name}",
-            )
-        return 1
+            raise ViolationFault(addr, size, flags, module_name, mode,
+                                 detail=fault_detail)
 
     # -- ioctl interface ------------------------------------------------------
 
