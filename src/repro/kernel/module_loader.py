@@ -108,8 +108,8 @@ class LoadedModule:
     #: Names of modules whose exported data this module references.
     data_imports: list[str] = field(default_factory=list)
     refcount: int = 0
-    #: Physical base of the module-area mapping (so eject can return the
-    #: pages; rmmod keeps the historical leak-until-reuse behaviour).
+    #: Physical base of the module-area mapping (so rmmod and eject can
+    #: return the pages).
     phys: int = 0
     #: Set by :meth:`ModuleLoader.eject`; a stale handle to an ejected
     #: module must never execute again (its memory is unmapped).
@@ -343,10 +343,7 @@ class ModuleLoader:
         kernel = self.kernel
         kernel.symbols.remove_owner(loaded.name)
         self._drop_references(loaded)
-        kernel.address_space.unmap(loaded.base)
-        kernel.page_allocator.free_pages(
-            loaded.phys, loaded.size // layout.PAGE_SIZE
-        )
+        self._release_memory(loaded)
         kernel.journal.drop(loaded.name)
 
     def _map_and_link(self, compiled: CompiledModule) -> LoadedModule:
@@ -486,12 +483,26 @@ class ModuleLoader:
         kernel.timers.release_module(loaded)
         kernel.symbols.remove_owner(loaded.name)
         self._drop_references(loaded)
-        kernel.address_space.unmap(loaded.base)
-        # Physical pages intentionally leak back only via the page allocator
-        # free list when the mapping's phys base is tracked; modules are
-        # small and reload cycles in tests are bounded.
+        self._release_memory(loaded)
         kernel.journal.drop(loaded.name)
         self.loaded.pop(loaded.name, None)
+        self._forget_translations(loaded)
+
+    def _release_memory(self, loaded: LoadedModule) -> None:
+        """Unmap the module area and return its pages."""
+        kernel = self.kernel
+        kernel.address_space.unmap(loaded.base)
+        kernel.page_allocator.free_pages(
+            loaded.phys, loaded.size // layout.PAGE_SIZE
+        )
+
+    def _forget_translations(self, loaded: LoadedModule) -> None:
+        """Drop every engine's translations of a departed module, so its
+        IR can die with it (never creating an engine just to forget)."""
+        loaded.translations.clear()
+        vm = self.kernel._vm
+        if vm is not None:
+            vm.forget_module(loaded)
 
     def _drop_references(self, loaded: LoadedModule) -> None:
         for sym in loaded.imports.values():
@@ -536,14 +547,10 @@ class ModuleLoader:
             summary["chardevs"] += 1
         kernel.retire_symbols(name)
         self._drop_references(loaded)
-        kernel.address_space.unmap(loaded.base)
-        kernel.page_allocator.free_pages(
-            loaded.phys, loaded.size // layout.PAGE_SIZE
-        )
+        self._release_memory(loaded)
         self.loaded.pop(name, None)
         loaded.ejected = True
-        loaded.translations.clear()
-        kernel.vm.forget_module(loaded)
+        self._forget_translations(loaded)
         kernel.dmesg(
             f"module {name}: ejected — rolled back "
             f"{summary['kmalloc_allocations']} allocations "

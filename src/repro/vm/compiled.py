@@ -7,15 +7,16 @@ every visit of a basic block.  This engine translates each IR function
 translate time and compiled with :func:`compile`/``exec`` — so the hot
 path is straight-line bytecode with no dispatch loop at all:
 
-- operand accessors are resolved at translate time — constants (and
-  global addresses) become literals in the generated source, SSA values
-  are reads of preallocated slots in a flat ``regs`` list;
+- operand accessors are resolved at translate time — int constants
+  become literals in the generated source, global addresses become
+  names bound per translation, SSA values are reads of preallocated
+  slots in a flat ``regs`` list;
 - per-instruction cycle costs are resolved against the machine model at
   translate time and emitted as ``timing.cycles += <literal>``;
 - integer arithmetic (binops, compares, casts, geps, selects) is
   emitted as inline expressions; stateful operations — loads, stores,
   calls, guards, allocas, float math — call specialized per-site
-  closures bound into the generated module's namespace;
+  closures bound per translation;
 - loads and stores fuse the mapping lookup the interpreter performs
   twice (once for MMIO accounting, once inside ``read_bytes``) into a
   single ``find`` plus a direct page-bytearray access for intra-page RAM
@@ -38,17 +39,24 @@ the compiled-engine analog of a patched-out static key).
 
 Below both of those sits a **process-global code cache**
 (:data:`TRANSLATION_CACHE`): the ``compile()`` of the generated source
-is shared across engines and :class:`~repro.core.system.CaratKopSystem`
-instances.  The generated source is itself a faithful content hash of
-everything the bytecode depends on — the instruction stream, resolved
-global addresses, per-opcode machine costs, and profiler presence are
-all emitted as source literals, while everything engine-specific
-(per-site closures, hoisted constants, the engine/timing/profiler
-references) is bound into a fresh namespace at ``exec`` time — so two
+is shared across engines, :class:`~repro.core.system.CaratKopSystem`
+instances, and reloads.  The generated source is itself a faithful
+content hash of everything the bytecode depends on — the instruction
+stream, per-opcode machine costs, and profiler presence are all emitted
+as source literals, while everything load- or engine-specific (global
+addresses, per-site closures, hoisted constants, the
+engine/timing/profiler references) is a parameter of the generated
+factory ``_mk``, bound per translation by calling it — so two
 translations with identical source can always share one code object.
-The second system in a process (a fleet of benchmark trials, a process
-pool worker warm-up, repeated test fixtures) skips every ``compile()``
-call the first one paid for.
+The source is position-independent: global addresses are relocations
+bound per translation, like insmod relocating a compiled module, so an
+rmmod + insmod of the same module at a new base, or the second system
+in a process (a fleet of benchmark trials, a process pool worker
+warm-up, repeated test fixtures), skips every ``compile()`` call the
+first load paid for.  The bindings are closure cells rather than
+module globals: CPython specializes global loads against one globals
+dict, so a shared code object run against a new namespace on every
+reload would deoptimize and re-specialize each time.
 """
 
 from __future__ import annotations
@@ -94,44 +102,46 @@ _F32 = struct.Struct("<f")
 
 
 class _SharedCodeCache:
-    """Process-global memo of compiled ``code`` objects.
+    """Process-global memo of compiled translation factories.
 
     Keyed by ``(filename, source)``.  The source embeds every input the
     bytecode depends on (module content, IR-generation-visible edits,
-    load addresses, machine cost model, profiler charge lines), and the
-    variant state it does *not* embed — per-site closures, hoisted
-    constants, engine references — is rebound into a fresh namespace on
-    every ``exec``, so a key hit is always safe to rehydrate against a
-    different engine, tracer, or system instance."""
+    machine cost model, profiler charge lines), and the variant state it
+    does *not* embed — global addresses, per-site closures, hoisted
+    constants, engine references — is passed to the factory on every
+    translation, so a key hit is always safe to rehydrate against a
+    different load address, engine, tracer, or system instance."""
 
-    __slots__ = ("codes", "hits", "misses")
+    __slots__ = ("factories", "hits", "misses")
 
     def __init__(self):
-        self.codes: dict = {}
+        self.factories: dict = {}
         self.hits = 0
         self.misses = 0
 
     def fetch(self, filename: str, src: str):
-        """Return ``(code, was_hit)`` for the generated source."""
+        """Return ``(factory, was_hit)`` for the generated source, which
+        defines the factory as ``_mk``."""
         key = (filename, src)
-        code = self.codes.get(key)
-        if code is not None:
+        factory = self.factories.get(key)
+        if factory is not None:
             self.hits += 1
-            return code, True
+            return factory, True
         self.misses += 1
-        code = compile(src, filename, "exec")
-        self.codes[key] = code
-        return code, False
+        ns: dict = {}
+        exec(compile(src, filename, "exec"), ns)
+        factory = self.factories[key] = ns["_mk"]
+        return factory, False
 
     def stats(self) -> dict:
         return {
-            "entries": len(self.codes),
+            "entries": len(self.factories),
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def clear(self) -> None:
-        self.codes.clear()
+        self.factories.clear()
         self.hits = 0
         self.misses = 0
 
@@ -194,9 +204,10 @@ class CompiledEngine(Interpreter):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # L1 translation memo keyed by IR function object; entries
-        # re-validate module identity, IR generation, and profiler, so
-        # re-insmod (new addresses, same IR) and invalidate_translations
-        # (generation bump) both force re-translation.
+        # re-validate module identity, IR generation, profiler and
+        # tracer, so a re-insmod (a new LoadedModule) and
+        # invalidate_translations (generation bump) both re-translate —
+        # binding the new load's addresses to the cached code object.
         self._tcache: dict = {}
         # This engine's traffic against the process-global code cache
         # (the cache's own counters aggregate every engine in the
@@ -297,9 +308,10 @@ class CompiledEngine(Interpreter):
         return entry
 
     def forget_module(self, module: LoadedModule) -> None:
-        """Purge an ejected module's translations from the L1 memo, so
-        long eject/re-insmod soaks don't accumulate dead entries (the
-        per-module store dies with the LoadedModule itself)."""
+        """Purge an unloaded module's translations from the L1 memo, so
+        long rmmod/eject + re-insmod cycles don't keep dead modules (and
+        their IR) alive; the per-module store dies with the LoadedModule
+        itself."""
         self._tcache = {
             fn: entry for fn, entry in self._tcache.items()
             if entry.module is not module
@@ -340,9 +352,11 @@ class _Translator:
         self.block_index = {b: i for i, b in enumerate(fn.blocks)}
 
     def translate(self, generation: int) -> _CompiledFunction:
-        # The generated module's namespace: engine/timing/profiler under
-        # fixed short names, plus per-site closures (``C<n>``), hoisted
-        # non-int constants (``K<n>``), and switch tables (``TBL<n>``).
+        # The generated factory's parameters: engine/timing/profiler
+        # under fixed short names, plus per-site closures (``C<n>``),
+        # hoisted non-int constants (``K<n>``), switch tables
+        # (``TBL<n>``), and global addresses (``G<n>``).
+        self._gnames: dict = {}
         self.ns: dict = {
             "E": self.engine,
             "T": self.timing,
@@ -354,19 +368,21 @@ class _Translator:
         lines: list[str] = []
         for i, block in enumerate(self.fn.blocks):
             plans.append(self._translate_block(block, i, lines))
-        src = "\n".join(lines)
-        code, hit = TRANSLATION_CACHE.fetch(
+        n = len(self.fn.blocks)
+        src = "\n".join(
+            [f"def _mk({', '.join(self.ns)}):"]
+            + ["    " + line for line in lines]
+            + [f"    return ({''.join(f'_b{i}, ' for i in range(n))})"]
+        )
+        factory, hit = TRANSLATION_CACHE.fetch(
             f"<compiled {self.module.name}:@{self.fn.name}>", src
         )
         if hit:
             self.engine.translation_cache_hits += 1
         else:
             self.engine.translation_cache_misses += 1
-        exec(code, self.ns)
-        blocks = [
-            _CompiledBlock(plans[i], self.ns[f"_b{i}"])
-            for i in range(len(self.fn.blocks))
-        ]
+        runs = factory(*self.ns.values())
+        blocks = [_CompiledBlock(plans[i], runs[i]) for i in range(n)]
         return _CompiledFunction(
             blocks,
             [b.name for b in self.fn.blocks],
@@ -380,22 +396,39 @@ class _Translator:
     # -- codegen helpers ---------------------------------------------------
 
     def _bind(self, prefix: str, obj) -> str:
-        """Bind ``obj`` into the generated module's namespace."""
+        """Bind ``obj`` as a parameter of the generated factory."""
         name = f"{prefix}{self._nsym}"
         self._nsym += 1
         self.ns[name] = obj
         return name
 
-    def _ref(self, spec) -> str:
-        """Source expression for a resolved operand: a register read, an
-        int literal, or a hoisted constant (floats don't all have source
-        literals — nan/inf — so any non-int constant is hoisted)."""
-        is_reg, v = spec
+    def _src(self, v) -> str:
+        """Source expression for operand ``v``: a register read, an int
+        literal, a hoisted constant (floats don't all have source
+        literals — nan/inf — so any non-int constant is hoisted), or a
+        global's bound address."""
+        if type(v) is GlobalVariable:
+            return self._global(v, 0)
+        is_reg, c = self._spec(v)
         if is_reg:
-            return f"r[{v}]"
-        if type(v) is int:
-            return repr(v) if v >= 0 else f"({v!r})"
-        return self._bind("K", v)
+            return f"r[{c}]"
+        if type(c) is int:
+            return repr(c) if c >= 0 else f"({c!r})"
+        return self._bind("K", c)
+
+    def _global(self, g: GlobalVariable, delta: int) -> str:
+        """Name bound to ``(&g + delta) & MASK``.  Addresses are
+        relocations: they are bound per translation, never written into
+        the source, so a reloaded module prints the same source at its
+        new base and rehydrates the cached code object.  One name per
+        ``(global, delta)``, numbered in first-reference order."""
+        key = (g.name, delta)
+        name = self._gnames.get(key)
+        if name is None:
+            addr = self._spec(g)[1]
+            name = self._bind("G", (addr + delta) & _MASK64)
+            self._gnames[key] = name
+        return name
 
     # -- operands ----------------------------------------------------------
 
@@ -545,9 +578,9 @@ class _Translator:
             return
         if kind is Select:
             self._emit_charge(inst.opcode, body)
-            c = self._ref(self._spec(inst.operands[0]))
-            t = self._ref(self._spec(inst.operands[1]))
-            f = self._ref(self._spec(inst.operands[2]))
+            c = self._src(inst.operands[0])
+            t = self._src(inst.operands[1])
+            f = self._src(inst.operands[2])
             body.append(f"r[{self.regmap[inst]}] = {t} if {c} else {f}")
             return
         if kind is Load:
@@ -600,8 +633,8 @@ class _Translator:
     # -- inline integer arithmetic -----------------------------------------
 
     def _emit_int_binop(self, inst: BinOp, body: list[str]) -> None:
-        a = self._ref(self._spec(inst.lhs))
-        b = self._ref(self._spec(inst.rhs))
+        a = self._src(inst.lhs)
+        b = self._src(inst.rhs)
         t = inst.type
         s = self.regmap[inst]
         op = inst.op
@@ -638,8 +671,8 @@ class _Translator:
     }
 
     def _emit_icmp(self, inst: ICmp, body: list[str]) -> None:
-        a = self._ref(self._spec(inst.lhs))
-        b = self._ref(self._spec(inst.rhs))
+        a = self._src(inst.lhs)
+        b = self._src(inst.rhs)
         s = self.regmap[inst]
         c = self._CMP_SRC[inst.pred]
         t = inst.lhs.type
@@ -668,7 +701,7 @@ class _Translator:
             # Float conversions (f32 narrowing via struct) stay closures.
             body.append(f"{self._bind('C', self._cast_core(inst))}(r)")
             return
-        v = self._ref(self._spec(inst.value))
+        v = self._src(inst.value)
         if op in ("bitcast", "inttoptr", "ptrtoint", "zext", "fpext"):
             body.append(f"r[{s}] = {v}")
         elif op == "trunc":
@@ -690,14 +723,19 @@ class _Translator:
             raise InterpreterError(f"bad cast {op}")
 
     def _emit_gep(self, inst: Gep, body: list[str]) -> None:
-        base = self._ref(self._spec(inst.base))
         ir_, iv = self._spec(inst.index)
         s = self.regmap[inst]
         if not ir_:
-            # Constant index: fold the whole displacement.
+            # Constant index: fold the whole displacement (off a global,
+            # into one bound address, so the hot path stays one load).
             delta = abi.to_signed64(iv) * inst.scale + inst.displacement
-            body.append(f"r[{s}] = ({base} + ({delta})) & {_MASK64}")
+            if type(inst.base) is GlobalVariable:
+                body.append(f"r[{s}] = {self._global(inst.base, delta)}")
+            else:
+                base = self._src(inst.base)
+                body.append(f"r[{s}] = ({base} + ({delta})) & {_MASK64}")
         else:
+            base = self._src(inst.base)
             # ``abi.to_signed64`` inlined (bias only — values are already
             # width-masked).
             body.append(f"x = r[{iv}]")
@@ -1373,7 +1411,7 @@ class _Translator:
         kind = type(inst)
         if kind is Br:
             if inst.is_conditional:
-                c = self._ref(self._spec(inst.operands[0]))
+                c = self._src(inst.operands[0])
                 ti = self.block_index[inst.targets[0]]
                 fi = self.block_index[inst.targets[1]]
                 body.append(flush)
@@ -1384,12 +1422,12 @@ class _Translator:
             return
         if kind is Ret:
             if inst.value is not None:
-                body.append(f"r[0] = {self._ref(self._spec(inst.value))}")
+                body.append(f"r[0] = {self._src(inst.value)}")
             body.append(flush)
             body.append("return -1")
             return
         assert type(inst) is Switch
-        v = self._ref(self._spec(inst.operands[0]))
+        v = self._src(inst.operands[0])
         # First matching case wins, like the interpreter's linear scan:
         # keep only the first target for duplicated case values.
         table: dict[int, int] = {}

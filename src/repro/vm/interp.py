@@ -118,7 +118,7 @@ class Interpreter:
             raise
 
     def forget_module(self, module: LoadedModule) -> None:
-        """Drop engine-side state for an ejected module (no-op here; the
+        """Drop engine-side state for an unloaded module (no-op here; the
         compiled engine purges its translation cache)."""
 
     def call_function(self, module: LoadedModule, fn: Function,

@@ -156,6 +156,20 @@ PROGRAMS = [
             ("roundtrip", (123456789,)),
         ],
     ),
+    # relocations: global addresses in arithmetic, folded geps, ptrtoint
+    (
+        """
+        long hits;
+        long ring[8];
+        __export long push(long v) {
+            ring[3] = v;
+            hits = hits + 1;
+            return (long)&ring[3] - (long)&hits + ring[3] + hits;
+        }
+        __export long slot(long i) { return (long)&ring[i] - (long)ring; }
+        """,
+        [("push", (9,)), ("push", (4,)), ("slot", (5,))],
+    ),
 ]
 
 
@@ -464,3 +478,28 @@ def test_same_ir_reinsmod_uses_fresh_addresses():
     kernel.rmmod(first.name)
     second = kernel.insmod(compiled)
     assert kernel.run_function(second, "bump", [3]) == 3
+
+
+def _run_reload(engine, source, calls, *, machine):
+    # Load, run, rmmod, and load again: the second load lands at a new
+    # base and (compiled) rehydrates the first load's code objects.
+    kernel = Kernel(machine=machine, engine=engine)
+    results, bases = [], []
+    for _ in range(2):
+        loaded = kernel.insmod(_compile(source))
+        bases.append(loaded.base)
+        results.append([
+            kernel.run_function(loaded, fn, list(args)) for fn, args in calls
+        ])
+        kernel.rmmod(loaded.name)
+    return _observe(kernel, {"results": results, "bases": bases})
+
+
+@pytest.mark.parametrize("bank", range(len(PROGRAMS)))
+def test_reloaded_module_identical(bank):
+    source, calls = PROGRAMS[bank]
+    model = get_machine("r415")
+    a = _run_reload("interp", source, calls, machine=model)
+    b = _run_reload("compiled", source, calls, machine=model)
+    assert a["bases"][0] != a["bases"][1]
+    assert a == b
