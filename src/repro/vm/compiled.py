@@ -1,33 +1,52 @@
-"""Translate-once, direct-threaded execution engine.
+"""Translate-once, function-at-a-time execution engine.
 
 The interpreter (:mod:`repro.vm.interp`) re-dispatches on ``type(inst)``
 and re-evaluates every operand through ``env[id(...)]`` dict lookups on
 every visit of a basic block.  This engine translates each IR function
-**once**: every basic block becomes Python source — generated at
-translate time and compiled with :func:`compile`/``exec`` — so the hot
-path is straight-line bytecode with no dispatch loop at all:
+**once** into **one** Python function — generated at translate time and
+compiled with :func:`compile`/``exec`` — so the hot path is straight-line
+bytecode with no per-instruction or per-block dispatch:
 
-- operand accessors are resolved at translate time — int constants
+- the IR arguments are the generated function's positional parameters
+  and every SSA value is a Python local (``v<slot>``); int constants
   become literals in the generated source, global addresses become
-  names bound per translation, SSA values are reads of preallocated
-  slots in a flat ``regs`` list;
-- per-instruction cycle costs are resolved against the machine model at
-  translate time and emitted as ``timing.cycles += <literal>``;
+  names bound per translation;
+- the blocks are arms ``if b == <position>:`` of one dispatch over a
+  local block index, in reverse postorder: a forward jump sets ``b``
+  and falls through to its arm, a loop's back edge sets ``b`` and
+  restarts a ``while True`` (emitted only for functions with loops),
+  and an entry block nothing jumps to runs ahead of the dispatch;
+- phis are parallel tuple copies on each incoming edge, which also
+  charges ``timing.instructions`` for them; taking an edge some phi
+  lacks raises the interpreter's ``KeyError``;
 - integer arithmetic (binops, compares, casts, geps, selects) is
-  emitted as inline expressions; stateful operations — loads, stores,
-  calls, guards, allocas, float math — call specialized per-site
-  closures bound per translation;
+  emitted as inline expressions, with literal operands of signed
+  compares and ``sext`` folded to their signed value at translate time;
+  stateful operations — loads, stores, calls, guards, allocas, float
+  math, division — call specialized per-site closures bound per
+  translation, which take the operand values and return the result;
 - loads and stores fuse the mapping lookup the interpreter performs
   twice (once for MMIO accounting, once inside ``read_bytes``) into a
   single ``find`` plus a direct page-bytearray access for intra-page RAM
   accesses, with a per-site mapping memo keyed on the address space's
   map/unmap version.
 
-Accounting is **bit-identical** to the interpreter: every counter is
-charged per instruction, in the interpreter's order (float addition does
-not reassociate, and natives observe ``timing.cycles`` mid-execution),
-guard calls are charged only through ``add_guard``, and phi nodes bump
-only ``timing.instructions``.  The differential test
+Accounting is **bit-identical** to the interpreter.  Per-instruction
+cycle costs are resolved against the machine model at translate time,
+and the generated code performs the interpreter's float additions in
+the interpreter's order — ``T.cycles = T.cycles + 0.8 + 0.24 + ...``
+is left-associated, and Python never folds a constant into a sum whose
+left operand is not constant, so the result equals the interpreter's
+``+=`` per instruction.  Only the *store* back to the counter is
+deferred, together with integer batches of ``timing.instructions`` and
+``engine.instructions_executed``, to the next point where other code
+can run or an exception can leave: a closure or native call, a panic or
+raise, and a terminator.  At each such point every counter holds
+exactly what the interpreter would hold (natives observe
+``timing.cycles`` mid-execution, and panics are observed at the raise).
+Guard calls are charged only through the guard cost, like the
+interpreter.  With a profiler attached every instruction is such a
+point, so charging stays per instruction.  The differential test
 (``tests/vm/test_compiled_vs_interp.py``) pins this down.
 
 Translations are cached on the :class:`LoadedModule` (keyed by engine
@@ -155,38 +174,16 @@ def translation_cache_stats() -> dict:
     return TRANSLATION_CACHE.stats()
 
 
-class _CompiledBlock:
-    """One translated basic block.
-
-    ``run`` is a Python function compiled from generated source: the
-    block's straight-line body with per-instruction accounting inlined
-    as literal statements, integer arithmetic inlined as expressions,
-    and the remaining operations (memory, calls, guards, floats) left
-    as calls into specialized closures.  It takes the register file and
-    returns the next block index, or -1 to return from the function.
-
-    ``phi_plans`` maps predecessor block index to the copy plan the
-    execution loop applies before running the body (phis read
-    pre-transfer values, so they cannot live inside ``run``)."""
-
-    __slots__ = ("phi_plans", "run")
-
-    def __init__(self, phi_plans, run):
-        self.phi_plans = phi_plans
-        self.run = run
-
-
 class _CompiledFunction:
-    """A function's translation, tagged with its invalidation keys."""
+    """A function's translation, tagged with its invalidation keys.
 
-    __slots__ = ("blocks", "block_names", "nregs", "module", "generation",
-                 "profiler", "tracer")
+    ``run`` is the generated Python function: it takes the IR arguments
+    positionally and returns the IR return value (``None`` for void)."""
 
-    def __init__(self, blocks, block_names, nregs, module, generation,
-                 profiler, tracer):
-        self.blocks = blocks
-        self.block_names = block_names
-        self.nregs = nregs
+    __slots__ = ("run", "module", "generation", "profiler", "tracer")
+
+    def __init__(self, run, module, generation, profiler, tracer):
+        self.run = run
         self.module = module
         self.generation = generation
         self.profiler = profiler
@@ -215,7 +212,7 @@ class CompiledEngine(Interpreter):
         self.translation_cache_hits = 0
         self.translation_cache_misses = 0
 
-    def _exec_function(self, module: LoadedModule, fn, args: list):
+    def _exec_function(self, module: LoadedModule, fn, args):
         # The declaration check lives in the translator (a cached
         # translation implies a definition; IR edits that strip blocks
         # bump the generation and re-translate), so every call raises
@@ -236,40 +233,10 @@ class CompiledEngine(Interpreter):
         tracer = self.tracer
         if tracer is not None:
             tracer.enter_function(fn.name)
-        timing = self.timing
-        regs = [None] * code.nregs
-        regs[1:1 + len(args)] = args
-        blocks = code.blocks
-        prev = -1
-        bi = 0
-        # Per-instruction accounting (and ``instructions_executed``
-        # batching) lives inside the generated block bodies; the loop
-        # here only routes control flow and applies phi copy plans.
+        # Accounting, control flow and phi copies all live inside the
+        # generated function.
         try:
-            while True:
-                b = blocks[bi]
-                plans = b.phi_plans
-                if plans is not None:
-                    plan = plans.get(prev)
-                    if type(plan) is not list:
-                        raise KeyError(
-                            "phi has no incoming edge from "
-                            f"{code.block_names[prev] if prev >= 0 else None}"
-                        )
-                    # Phis read pre-transfer values: evaluate all sources
-                    # before writing any destination slot.
-                    vals = [regs[v] if r else v for (_, r, v) in plan]
-                    k = 0
-                    for item in plan:
-                        regs[item[0]] = vals[k]
-                        k += 1
-                    if timing is not None:
-                        timing.instructions += len(plan)
-                nxt = b.run(regs)
-                if nxt < 0:
-                    return regs[0]
-                prev = bi
-                bi = nxt
+            return code.run(*args)
         finally:
             self._stack_top = saved_stack
             self._depth -= 1
@@ -321,7 +288,8 @@ class CompiledEngine(Interpreter):
 class _Translator:
     """Translates one function into a :class:`_CompiledFunction`.
 
-    One instance per translation; holds the register map and the
+    One instance per translation; holds the value-to-local map, the
+    pending (not yet stored) charges of the block being emitted, and the
     engine/timing/profiler the closures specialize against."""
 
     def __init__(self, engine: CompiledEngine, module: LoadedModule, fn):
@@ -337,19 +305,24 @@ class _Translator:
         # (blocks in order, stopping at terminators) backs the
         # interpreter's VMTracer.site_for, so ids agree across engines.
         self._guard_ordinal = 0
-        # Slot 0 is the return value; arguments fill 1..n; every
-        # instruction gets a slot (void results simply never store).
-        self.regmap: dict = {}
+        # Every argument and instruction gets a local ``v<slot>`` (void
+        # results simply never assign theirs); arguments fill 1..n.
+        self.names: dict = {}
         slot = 1
         for a in fn.args:
-            self.regmap[a] = slot
+            self.names[a] = f"v{slot}"
             slot += 1
         for block in fn.blocks:
             for inst in block.instructions:
-                self.regmap[inst] = slot
+                self.names[inst] = f"v{slot}"
                 slot += 1
-        self.nregs = slot
         self.block_index = {b: i for i, b in enumerate(fn.blocks)}
+        # Charges emitted but not yet stored: the ``timing.instructions``
+        # batch, the cycle costs still to add (source literals, in
+        # interpreter order), and the ``instructions_executed`` batch.
+        self._insts = 0
+        self._cycles: list[str] = []
+        self._steps = 0
 
     def translate(self, generation: int) -> _CompiledFunction:
         # The generated factory's parameters: engine/timing/profiler
@@ -364,15 +337,12 @@ class _Translator:
             "IE": InterpreterError,
         }
         self._nsym = 0
-        plans = []
-        lines: list[str] = []
-        for i, block in enumerate(self.fn.blocks):
-            plans.append(self._translate_block(block, i, lines))
-        n = len(self.fn.blocks)
+        body = self._emit_function()
+        params = ", ".join(self.names[a] for a in self.fn.args)
         src = "\n".join(
-            [f"def _mk({', '.join(self.ns)}):"]
-            + ["    " + line for line in lines]
-            + [f"    return ({''.join(f'_b{i}, ' for i in range(n))})"]
+            [f"def _mk({', '.join(self.ns)}):", f"    def _f({params}):"]
+            + ["        " + line for line in body]
+            + ["    return _f"]
         )
         factory, hit = TRANSLATION_CACHE.fetch(
             f"<compiled {self.module.name}:@{self.fn.name}>", src
@@ -381,12 +351,8 @@ class _Translator:
             self.engine.translation_cache_hits += 1
         else:
             self.engine.translation_cache_misses += 1
-        runs = factory(*self.ns.values())
-        blocks = [_CompiledBlock(plans[i], runs[i]) for i in range(n)]
         return _CompiledFunction(
-            blocks,
-            [b.name for b in self.fn.blocks],
-            self.nregs,
+            factory(*self.ns.values()),
             self.module,
             generation,
             self.profiler,
@@ -403,15 +369,15 @@ class _Translator:
         return name
 
     def _src(self, v) -> str:
-        """Source expression for operand ``v``: a register read, an int
-        literal, a hoisted constant (floats don't all have source
-        literals — nan/inf — so any non-int constant is hoisted), or a
-        global's bound address."""
+        """Source expression for operand ``v``: a local, an int literal,
+        a hoisted constant (floats don't all have source literals —
+        nan/inf — so any non-int constant is hoisted), or a global's
+        bound address."""
         if type(v) is GlobalVariable:
             return self._global(v, 0)
-        is_reg, c = self._spec(v)
-        if is_reg:
-            return f"r[{c}]"
+        c = self._const(v)
+        if c is None:
+            return self.names[v]
         if type(c) is int:
             return repr(c) if c >= 0 else f"({c!r})"
         return self._bind("K", c)
@@ -425,126 +391,195 @@ class _Translator:
         key = (g.name, delta)
         name = self._gnames.get(key)
         if name is None:
-            addr = self._spec(g)[1]
-            name = self._bind("G", (addr + delta) & _MASK64)
+            name = self._bind("G", (self._const(g) + delta) & _MASK64)
             self._gnames[key] = name
         return name
 
     # -- operands ----------------------------------------------------------
 
-    def _spec(self, v) -> tuple[bool, object]:
-        """Resolve an operand to ``(is_register, slot_or_constant)``."""
+    def _const(self, v):
+        """The constant value of operand ``v``, or ``None`` when it is an
+        SSA value (a local of the generated function)."""
         k = type(v)
         if k is ConstantInt or k is ConstantFloat:
-            return False, v.value
+            return v.value
         if k is ConstantNull or k is UndefValue:
-            return False, 0
+            return 0
         if k is GlobalVariable:
             addr = self.module.global_addresses.get(v.name)
             if addr is None:
                 raise InterpreterError(
                     f"module {self.module.name}: no storage for @{v.name}"
                 )
-            return False, addr
+            return addr
         if k is ConstantString:
             raise InterpreterError("string constants must live in globals")
-        slot = self.regmap.get(v)
-        if slot is None:
+        if v not in self.names:
             raise InterpreterError(
                 f"use of undefined value %{v.name} ({v.type})"
             )
-        return True, slot
+        return None
 
-    # -- blocks ------------------------------------------------------------
+    # -- function layout ---------------------------------------------------
 
-    def _translate_block(self, block, bi: int, out: list[str]):
-        """Emit ``def _b<bi>(r): ...`` into ``out``; return the phi plans.
+    def _successors(self, block) -> list[int]:
+        """Indices of the blocks ``block``'s terminator can jump to."""
+        for inst in block.instructions:
+            kind = type(inst)
+            if kind is Br:
+                return [self.block_index[t] for t in inst.targets]
+            if kind is Switch:
+                return [self.block_index[t] for _, t in inst.cases] + [
+                    self.block_index[inst.default]]
+            if kind is Ret or kind is Unreachable:
+                return []
+        return []
 
-        The body counts instructions in a local ``n`` (assigned *before*
-        each step, mirroring the interpreter's charge-then-execute order)
-        and flushes the batch into ``engine.instructions_executed`` right
-        before the terminator's return — the only statements after the
-        flush are provably non-raising return expressions.  An exception
-        unwinding mid-block flushes the partial count in the handler, so
-        the engine counter is exact even across panics."""
+    @staticmethod
+    def _reverse_postorder(succs: list[list[int]]) -> list[int]:
+        """Block indices in reverse postorder from the entry (successors
+        visited last-first, so a branch's first target comes first),
+        then the unreachable blocks in block order."""
+        seen = {0}
+        post: list[int] = []
+        stack = [(0, reversed(succs[0]))]
+        while stack:
+            node, it = stack[-1]
+            for s in it:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append((s, reversed(succs[s])))
+                    break
+            else:
+                stack.pop()
+                post.append(node)
+        post.reverse()
+        return post + [i for i in range(len(succs)) if i not in seen]
+
+    def _emit_function(self) -> list[str]:
+        """The generated function's body.
+
+        Blocks become arms ``if b == <position>:`` in reverse postorder,
+        so every edge but a loop's back edge jumps forward: a forward
+        jump sets ``b`` and falls through the arms in between, a
+        backward jump sets ``b`` and restarts (``continue``) a
+        ``while True`` that opens at the first arm any backward jump
+        targets.  Arms before that run at most once, straight-line; so
+        does the entry block, which needs no test unless something
+        jumps to it."""
+        blocks = self.fn.blocks
+        if self._n_phis(blocks[0]):
+            # Entering a function has no predecessor edge.
+            return [f"raise KeyError({'phi has no incoming edge from None'!r})"]
+        succs = [self._successors(b) for b in blocks]
+        order = self._reverse_postorder(succs)
+        self.pos = {bi: p for p, bi in enumerate(order)}
+        back = [self.pos[j] for i, s in enumerate(succs) for j in s
+                if self.pos[j] <= self.pos[i]]
+        loop_at = min(back, default=len(blocks))
+        # Emit in block order: guard-site ordinals follow it.
+        arms: dict[int, list[str]] = {}
+        for bi in range(len(blocks)):
+            arms[self.pos[bi]] = arm = []
+            self._emit_block(bi, arm)
+        out: list[str] = []
+        if loop_at == 0:
+            out.append("b = 0")
+        else:
+            out.extend(arms[0])
+        indent = ""
+        for p in range(1 if loop_at else 0, len(blocks)):
+            if p == loop_at:
+                out.append("while True:")
+                indent = "    "
+            out.append(f"{indent}if b == {p}:")
+            out.extend(f"{indent}    {line}" for line in arms[p])
+        return out
+
+    @staticmethod
+    def _n_phis(block) -> int:
+        n = 0
         insts = block.instructions
-        n_phi = 0
-        phi_plans = None
-        if insts and isinstance(insts[0], Phi):
-            # Leading phis become per-predecessor copy plans; a phi later
-            # in the block is an execution error, matching the interpreter.
-            while n_phi < len(insts) and isinstance(insts[n_phi], Phi):
-                n_phi += 1
-            phis = insts[:n_phi]
-            mentioned: set[int] = set()
-            for phi in phis:
-                for _, pred in phi.incoming:
-                    pi = self.block_index.get(pred)
-                    if pi is not None:
-                        mentioned.add(pi)
-            phi_plans = {}
-            for pi in mentioned:
-                plan: object = []
-                for phi in phis:
-                    spec = None
-                    # First matching edge wins, like ``incoming_for``.
-                    for value, pred in phi.incoming:
-                        if self.block_index.get(pred) == pi:
-                            spec = self._spec(value)
-                            break
-                    if spec is None:
-                        # Some phi lacks this edge: taking it is a
-                        # KeyError at runtime, same as the interpreter.
-                        plan = False
-                        break
-                    plan.append((self.regmap[phi], spec[0], spec[1]))
-                phi_plans[pi] = plan
-        body: list[str] = []
-        k = 0
-        terminated = False
-        for inst in insts[n_phi:]:
+        while n < len(insts) and type(insts[n]) is Phi:
+            n += 1
+        return n
+
+    def _emit_block(self, bi: int, out: list[str]) -> None:
+        """Emit block ``bi``'s body (its leading phis are copied on the
+        incoming edges instead; a phi later in the block is an execution
+        error, matching the interpreter)."""
+        block = self.fn.blocks[bi]
+        insts = block.instructions
+        for inst in insts[self._n_phis(block):]:
             kind = type(inst)
             if kind is Br or kind is Ret or kind is Switch:
-                self._emit_terminator(inst, body, k + 1)
-                terminated = True
-                break
+                self._emit_terminator(inst, bi, out)
+                return
             if kind is Unreachable:
-                self._emit_unreachable(inst, body, k + 1)
-                terminated = True
-                break
-            k += 1
-            body.append(f"n = {k}")
-            self._emit_step(inst, body)
-        if not terminated:
-            # Falling off a block is an execution error, not an
-            # instruction — nothing is charged (the handler flushes the
-            # step count accumulated so far).
-            msg = f"block {block.name} in @{self.fn.name} fell through"
-            body.append(f"raise IE({msg!r})")
-        out.append(f"def _b{bi}(r):")
-        out.append("    n = 0")
-        out.append("    try:")
-        for line in body:
-            out.append("        " + line)
-        out.append("    except BaseException:")
-        out.append("        E.instructions_executed += n")
-        out.append("        raise")
-        return phi_plans
+                self._charge(inst, out)
+                self._flush(out)
+                msg = (
+                    f"module {self.module.name}: reached 'unreachable' "
+                    f"in @{self.fn.name}"
+                )
+                out.append(f"E.kernel.panic({msg!r})")
+                return
+            self._emit_step(inst, out)
+        # Falling off a block is an execution error, not an instruction
+        # — nothing more is charged.
+        self._flush(out)
+        msg = f"block {block.name} in @{self.fn.name} fell through"
+        out.append(f"raise IE({msg!r})")
 
     # -- charging ----------------------------------------------------------
 
-    def _emit_charge(self, opcode: str, body: list[str]) -> None:
-        """Emit the interpreter's per-instruction accounting as literal
-        statements (cost pre-resolved against the machine model; ``repr``
-        of a float round-trips exactly)."""
-        if self.timing is not None:
-            cost = self.timing.machine.op_cost(opcode)
-            body.append("T.instructions += 1")
-            body.append(f"T.cycles += {cost!r}")
-            if self.profiler is not None:
-                body.append(f"P.on_instruction({opcode!r}, {cost!r})")
-        elif self.profiler is not None:
-            body.append(f"P.on_instruction({opcode!r}, 0.0)")
+    def _charge(self, inst, out: list[str], *, op_cost: bool = True) -> None:
+        """Charge ``inst`` like the interpreter: one executed
+        instruction, plus (unless ``op_cost`` is false, for guard calls)
+        one timed instruction at the machine's cost for its opcode,
+        resolved at translate time (``repr`` of a float round-trips
+        exactly).  The charge stays pending until the next
+        :meth:`_flush`, except under a profiler, which observes every
+        instruction."""
+        self._steps += 1
+        if not op_cost:
+            return
+        timing = self.timing
+        cost = 0.0
+        if timing is not None:
+            cost = timing.machine.op_cost(inst.opcode)
+            self._insts += 1
+            self._cycles.append(repr(cost))
+        if self.profiler is not None:
+            self._flush(out)
+            out.append(f"P.on_instruction({inst.opcode!r}, {cost!r})")
+
+    def _flush(self, out: list[str]) -> None:
+        """Store the pending charges.  Called before anything that can
+        run other code or raise, so every observer sees the
+        interpreter's counters; the float additions keep the
+        interpreter's order (left-associated, one per instruction)."""
+        if self._insts:
+            out.append(f"T.instructions += {self._insts}")
+        if self._cycles:
+            out.append(f"T.cycles = T.cycles + {' + '.join(self._cycles)}")
+        if self._steps:
+            out.append(f"E.instructions_executed += {self._steps}")
+        self._insts = 0
+        self._cycles = []
+        self._steps = 0
+
+    def _emit_site(self, inst, core, args: list[str],
+                   out: list[str]) -> None:
+        """Store the pending charges, then call a per-site closure with
+        the operand values, assigning its result to ``inst``'s local
+        unless the instruction is void."""
+        self._flush(out)
+        call = f"{self._bind('C', core)}({', '.join(args)})"
+        if inst.type.is_void:
+            out.append(call)
+        else:
+            out.append(f"{self.names[inst]} = {call}")
 
     # -- straight-line steps -----------------------------------------------
 
@@ -552,117 +587,105 @@ class _Translator:
         ("add", "sub", "mul", "and", "or", "xor", "shl", "lshr", "ashr")
     )
 
-    def _emit_step(self, inst, body: list[str]) -> None:
+    def _emit_step(self, inst, out: list[str]) -> None:
         kind = type(inst)
+        if kind is Call and (inst.is_guard
+                             or inst.callee.name == abi.GUARD_SYMBOL):
+            # Guards the guard pass inserted bypass add_op/profiler
+            # (charged through the guard cost only); a call to the guard
+            # symbol it did not insert is also charged as a call — both
+            # like the interpreter.
+            self._charge(inst, out, op_cost=not inst.is_guard)
+            if id(inst) in self.module.elided_guards:
+                # Statically proven in-policy at insmod (-O3): emit no
+                # code at all.  The ordinal still advances so guard-site
+                # IDs stay aligned with the interpreter's walk, and the
+                # missing line changes the source text, so the
+                # process-global translation cache can never serve an
+                # elided body to an unverified module.
+                self._guard_ordinal += 1
+                return
+            args = [self._src(a) for a in inst.args[:3]]
+            self._emit_site(inst, self._guard_core(inst), args, out)
+            return
+        self._charge(inst, out)
         if kind is BinOp:
             if (isinstance(inst.type, IntType)
                     and inst.op in self._INLINE_INT_OPS):
-                self._emit_charge(inst.opcode, body)
-                self._emit_int_binop(inst, body)
+                self._emit_int_binop(inst, out)
                 return
             # Division (panic path) and float arithmetic stay closures.
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._binop_core(inst))}(r)")
-            return
-        if kind is ICmp:
-            self._emit_charge(inst.opcode, body)
-            self._emit_icmp(inst, body)
-            return
-        if kind is Cast:
-            self._emit_charge(inst.opcode, body)
-            self._emit_cast(inst, body)
-            return
-        if kind is Gep:
-            self._emit_charge(inst.opcode, body)
-            self._emit_gep(inst, body)
-            return
-        if kind is Select:
-            self._emit_charge(inst.opcode, body)
-            c = self._src(inst.operands[0])
-            t = self._src(inst.operands[1])
-            f = self._src(inst.operands[2])
-            body.append(f"r[{self.regmap[inst]}] = {t} if {c} else {f}")
-            return
-        if kind is Load:
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._load_core(inst))}(r)")
-            return
-        if kind is Store:
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._store_core(inst))}(r)")
-            return
-        if kind is Call:
-            if inst.is_guard or inst.callee.name == abi.GUARD_SYMBOL:
-                if id(inst) in self.module.elided_guards:
-                    # Statically proven in-policy at insmod (-O3): emit
-                    # no code at all.  The ordinal still advances so
-                    # guard-site IDs stay aligned with the interpreter's
-                    # walk, and the missing line changes the source text,
-                    # so the process-global translation cache can never
-                    # serve an elided body to an unverified module.
-                    self._guard_ordinal += 1
-                    return
-                # Guard calls bypass add_op/profiler (charged through the
-                # guard cost only, like the interpreter) — no charge lines.
-                body.append(f"{self._bind('C', self._guard_core(inst))}(r)")
-                return
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._call_core(inst))}(r)")
-            return
-        if kind is Alloca:
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._alloca_core(inst))}(r)")
-            return
-        if kind is FCmp:
-            self._emit_charge(inst.opcode, body)
-            body.append(f"{self._bind('C', self._fcmp_core(inst))}(r)")
-            return
-        if kind is InlineAsm:
-            self._emit_charge(inst.opcode, body)
+            args = [self._src(inst.lhs), self._src(inst.rhs)]
+            self._emit_site(inst, self._binop_core(inst), args, out)
+        elif kind is ICmp:
+            self._emit_icmp(inst, out)
+        elif kind is Cast:
+            self._emit_cast(inst, out)
+        elif kind is Gep:
+            self._emit_gep(inst, out)
+        elif kind is Select:
+            c, t, f = (self._src(v) for v in inst.operands[:3])
+            out.append(f"{self.names[inst]} = {t} if {c} else {f}")
+        elif kind is Load:
+            args = [self._src(inst.pointer)]
+            self._emit_site(inst, self._load_core(inst), args, out)
+        elif kind is Store:
+            args = [self._src(inst.pointer), self._src(inst.value)]
+            self._emit_site(inst, self._store_core(inst), args, out)
+        elif kind is Call:
+            args = [self._src(a) for a in inst.args]
+            self._emit_site(inst, self._call_core(inst), args, out)
+        elif kind is Alloca:
+            self._emit_site(inst, self._alloca_core(inst), [], out)
+        elif kind is FCmp:
+            args = [self._src(v) for v in inst.operands[:2]]
+            self._emit_site(inst, self._fcmp_core(inst), args, out)
+        elif kind is InlineAsm:
+            self._flush(out)
             msg = (
                 f"module {self.module.name}: executed inline assembly "
                 "(should have been rejected at load time)"
             )
-            body.append(f"E.kernel.panic({msg!r})")
-            return
-        # Misplaced phi or unknown opcode: fail at execution time like
-        # the interpreter's exhaustive dispatch.
-        self._emit_charge(inst.opcode, body)
-        body.append(f"raise IE({f'cannot execute {inst.opcode}'!r})")
+            out.append(f"E.kernel.panic({msg!r})")
+        else:
+            # Misplaced phi or unknown opcode: fail at execution time
+            # like the interpreter's exhaustive dispatch.
+            self._flush(out)
+            out.append(f"raise IE({f'cannot execute {inst.opcode}'!r})")
 
     # -- inline integer arithmetic -----------------------------------------
 
-    def _emit_int_binop(self, inst: BinOp, body: list[str]) -> None:
+    def _emit_int_binop(self, inst: BinOp, out: list[str]) -> None:
         a = self._src(inst.lhs)
         b = self._src(inst.rhs)
         t = inst.type
-        s = self.regmap[inst]
+        s = self.names[inst]
         op = inst.op
         mask = t.max_unsigned
         bits = t.bits
         if op == "add":
-            body.append(f"r[{s}] = ({a} + {b}) & {mask}")
+            out.append(f"{s} = ({a} + {b}) & {mask}")
         elif op == "sub":
-            body.append(f"r[{s}] = ({a} - {b}) & {mask}")
+            out.append(f"{s} = ({a} - {b}) & {mask}")
         elif op == "mul":
-            body.append(f"r[{s}] = ({a} * {b}) & {mask}")
+            out.append(f"{s} = ({a} * {b}) & {mask}")
         elif op == "and":
-            body.append(f"r[{s}] = {a} & {b}")
+            out.append(f"{s} = {a} & {b}")
         elif op == "or":
-            body.append(f"r[{s}] = {a} | {b}")
+            out.append(f"{s} = {a} | {b}")
         elif op == "xor":
-            body.append(f"r[{s}] = {a} ^ {b}")
+            out.append(f"{s} = {a} ^ {b}")
         elif op == "shl":
-            body.append(f"r[{s}] = ({a} << ({b} % {bits})) & {mask}")
+            out.append(f"{s} = ({a} << ({b} % {bits})) & {mask}")
         elif op == "lshr":
-            body.append(f"r[{s}] = {a} >> ({b} % {bits})")
+            out.append(f"{s} = {a} >> ({b} % {bits})")
         elif bits > 1:  # ashr: ``to_signed`` inlined (mask, bias, wrap)
-            body.append(f"x = {a} & {mask}")
-            body.append(f"if x > {t.max_signed}:")
-            body.append(f"    x -= {1 << bits}")
-            body.append(f"r[{s}] = (x >> ({b} % {bits})) & {mask}")
+            out.append(f"x = {a} & {mask}")
+            out.append(f"if x > {t.max_signed}:")
+            out.append(f"    x -= {1 << bits}")
+            out.append(f"{s} = (x >> ({b} % {bits})) & {mask}")
         else:  # ashr on i1: no negative range
-            body.append(f"r[{s}] = ({a} & 1) >> ({b} % 1)")
+            out.append(f"{s} = ({a} & 1) >> ({b} % 1)")
 
     _CMP_SRC = {
         "eq": "==", "ne": "!=",
@@ -670,79 +693,91 @@ class _Translator:
         "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
     }
 
-    def _emit_icmp(self, inst: ICmp, body: list[str]) -> None:
-        a = self._src(inst.lhs)
-        b = self._src(inst.rhs)
-        s = self.regmap[inst]
+    _SIGNED_PREDS = frozenset(("slt", "sle", "sgt", "sge"))
+
+    def _signed(self, v, t: IntType, tmp: str, out: list[str]) -> str:
+        """Source for ``t.to_signed(v)``: a literal folded at translate
+        time for a constant operand, else ``tmp`` computed inline (mask,
+        then bias down past the sign bit)."""
+        c = self._const(v)
+        if type(c) is int and type(v) is not GlobalVariable:
+            c = t.to_signed(c)
+            return repr(c) if c >= 0 else f"({c!r})"
+        out.append(f"{tmp} = {self._src(v)} & {t.max_unsigned}")
+        out.append(f"if {tmp} > {t.max_signed}:")
+        out.append(f"    {tmp} -= {1 << t.bits}")
+        return tmp
+
+    def _emit_icmp(self, inst: ICmp, out: list[str]) -> None:
+        s = self.names[inst]
         c = self._CMP_SRC[inst.pred]
         t = inst.lhs.type
         if inst.pred in self._SIGNED_PREDS and not isinstance(t, PointerType):
             assert isinstance(t, IntType)
             if t.bits > 1:
-                # ``to_signed`` inlined: mask, then bias down past the
-                # sign bit.  (i1 has no negative range — raw compare.)
-                mask, ms, span = t.max_unsigned, t.max_signed, 1 << t.bits
-                body.append(f"x = {a} & {mask}")
-                body.append(f"if x > {ms}:")
-                body.append(f"    x -= {span}")
-                body.append(f"y = {b} & {mask}")
-                body.append(f"if y > {ms}:")
-                body.append(f"    y -= {span}")
-                body.append(f"r[{s}] = 1 if x {c} y else 0")
-            else:
-                body.append(f"r[{s}] = 1 if ({a} & 1) {c} ({b} & 1) else 0")
+                x = self._signed(inst.lhs, t, "x", out)
+                y = self._signed(inst.rhs, t, "y", out)
+                out.append(f"{s} = 1 if {x} {c} {y} else 0")
+            else:  # i1 has no negative range: raw compare
+                a, b = self._src(inst.lhs), self._src(inst.rhs)
+                out.append(f"{s} = 1 if ({a} & 1) {c} ({b} & 1) else 0")
         else:
-            body.append(f"r[{s}] = 1 if {a} {c} {b} else 0")
+            a, b = self._src(inst.lhs), self._src(inst.rhs)
+            out.append(f"{s} = 1 if {a} {c} {b} else 0")
 
-    def _emit_cast(self, inst: Cast, body: list[str]) -> None:
+    def _emit_cast(self, inst: Cast, out: list[str]) -> None:
         op = inst.op
-        s = self.regmap[inst]
+        s = self.names[inst]
         if op in ("sitofp", "fptosi", "fptrunc"):
             # Float conversions (f32 narrowing via struct) stay closures.
-            body.append(f"{self._bind('C', self._cast_core(inst))}(r)")
+            args = [self._src(inst.value)]
+            self._emit_site(inst, self._cast_core(inst), args, out)
             return
-        v = self._src(inst.value)
         if op in ("bitcast", "inttoptr", "ptrtoint", "zext", "fpext"):
-            body.append(f"r[{s}] = {v}")
+            out.append(f"{s} = {self._src(inst.value)}")
         elif op == "trunc":
             assert isinstance(inst.type, IntType)
-            body.append(f"r[{s}] = {v} & {inst.type.max_unsigned}")
+            v = self._src(inst.value)
+            out.append(f"{s} = {v} & {inst.type.max_unsigned}")
         elif op == "sext":
             src = inst.value.type
             t = inst.type
             assert isinstance(src, IntType) and isinstance(t, IntType)
-            if src.bits > 1:
-                body.append(f"x = {v} & {src.max_unsigned}")
-                body.append(
-                    f"r[{s}] = ((x - {1 << src.bits}) & {t.max_unsigned})"
+            c = self._const(inst.value)
+            if type(c) is int and type(inst.value) is not GlobalVariable:
+                out.append(f"{s} = {t.wrap(src.to_signed(c))}")
+            elif src.bits > 1:
+                out.append(f"x = {self._src(inst.value)} & {src.max_unsigned}")
+                out.append(
+                    f"{s} = ((x - {1 << src.bits}) & {t.max_unsigned})"
                     f" if x > {src.max_signed} else x"
                 )
             else:  # i1 has no negative range: sext == zext
-                body.append(f"r[{s}] = {v} & 1")
+                out.append(f"{s} = {self._src(inst.value)} & 1")
         else:  # pragma: no cover - verifier rejects other casts
             raise InterpreterError(f"bad cast {op}")
 
-    def _emit_gep(self, inst: Gep, body: list[str]) -> None:
-        ir_, iv = self._spec(inst.index)
-        s = self.regmap[inst]
-        if not ir_:
+    def _emit_gep(self, inst: Gep, out: list[str]) -> None:
+        s = self.names[inst]
+        iv = self._const(inst.index)
+        if iv is not None:
             # Constant index: fold the whole displacement (off a global,
             # into one bound address, so the hot path stays one load).
             delta = abi.to_signed64(iv) * inst.scale + inst.displacement
             if type(inst.base) is GlobalVariable:
-                body.append(f"r[{s}] = {self._global(inst.base, delta)}")
+                out.append(f"{s} = {self._global(inst.base, delta)}")
             else:
                 base = self._src(inst.base)
-                body.append(f"r[{s}] = ({base} + ({delta})) & {_MASK64}")
+                out.append(f"{s} = ({base} + ({delta})) & {_MASK64}")
         else:
             base = self._src(inst.base)
             # ``abi.to_signed64`` inlined (bias only — values are already
             # width-masked).
-            body.append(f"x = r[{iv}]")
-            body.append(f"if x > {0x7FFFFFFFFFFFFFFF}:")
-            body.append(f"    x -= {1 << 64}")
-            body.append(
-                f"r[{s}] = ({base} + x * {inst.scale}"
+            out.append(f"x = {self.names[inst.index]}")
+            out.append(f"if x > {0x7FFFFFFFFFFFFFFF}:")
+            out.append(f"    x -= {1 << 64}")
+            out.append(
+                f"{s} = ({base} + x * {inst.scale}"
                 f" + ({inst.displacement})) & {_MASK64}"
             )
 
@@ -751,62 +786,47 @@ class _Translator:
     def _binop_core(self, inst: BinOp):
         """Closure builder for the binops codegen doesn't inline:
         division (panic-on-zero path) and float arithmetic."""
-        ar, av = self._spec(inst.lhs)
-        br, bv = self._spec(inst.rhs)
         op = inst.op
         t = inst.type
         if isinstance(t, FloatType):
-            return self._float_binop_core(inst, ar, av, br, bv)
+            return self._float_binop_core(inst)
         assert isinstance(t, IntType)
         if op not in ("sdiv", "udiv", "srem", "urem"):  # pragma: no cover
             raise InterpreterError(f"bad int op {op}")
-        return self._divrem_core(inst, op, t, ar, av, br, bv)
-
-    def _divrem_core(self, inst, op, t, ar, av, br, bv):
-        slot = self.regmap[inst]
         eng = self.engine
         ts, wrap = t.to_signed, t.wrap
         msg = f"module {self.module.name}: divide error ({op} by zero)"
         if op == "sdiv":
-            def core(regs, _s=slot, _ts=ts, _w=wrap, _e=eng, _m=msg):
-                sa = _ts(regs[av] if ar else av)
-                sb = _ts(regs[bv] if br else bv)
+            def core(a, b, _ts=ts, _w=wrap, _e=eng, _m=msg):
+                sa, sb = _ts(a), _ts(b)
                 if sb == 0:
                     _e.kernel.panic(_m)
-                regs[_s] = _w(int(sa / sb))
+                return _w(int(sa / sb))
         elif op == "udiv":
-            def core(regs, _s=slot, _e=eng, _m=msg):
-                a = regs[av] if ar else av
-                b = regs[bv] if br else bv
+            def core(a, b, _e=eng, _m=msg):
                 if b == 0:
                     _e.kernel.panic(_m)
-                regs[_s] = a // b
+                return a // b
         elif op == "srem":
-            def core(regs, _s=slot, _ts=ts, _w=wrap, _e=eng, _m=msg):
-                sa = _ts(regs[av] if ar else av)
-                sb = _ts(regs[bv] if br else bv)
+            def core(a, b, _ts=ts, _w=wrap, _e=eng, _m=msg):
+                sa, sb = _ts(a), _ts(b)
                 if sb == 0:
                     _e.kernel.panic(_m)
-                regs[_s] = _w(sa - int(sa / sb) * sb)
+                return _w(sa - int(sa / sb) * sb)
         else:  # urem
-            def core(regs, _s=slot, _e=eng, _m=msg):
-                a = regs[av] if ar else av
-                b = regs[bv] if br else bv
+            def core(a, b, _e=eng, _m=msg):
                 if b == 0:
                     _e.kernel.panic(_m)
-                regs[_s] = a % b
+                return a % b
         return core
 
-    def _float_binop_core(self, inst, ar, av, br, bv):
-        slot = self.regmap[inst]
+    def _float_binop_core(self, inst: BinOp):
         op = inst.op
         narrow = inst.type.bits == 32
         if op not in ("fadd", "fsub", "fmul", "fdiv"):  # pragma: no cover
             raise InterpreterError(f"bad float op {op}")
 
-        def core(regs, _s=slot, _op=op, _n=narrow):
-            a = regs[av] if ar else av
-            b = regs[bv] if br else bv
+        def core(a, b, _op=op, _n=narrow):
             if _op == "fadd":
                 r = a + b
             elif _op == "fsub":
@@ -820,11 +840,9 @@ class _Translator:
                 r = a / b
             if _n:
                 r = _F32.unpack(_F32.pack(r))[0]
-            regs[_s] = r
+            return r
 
         return core
-
-    _SIGNED_PREDS = frozenset(("slt", "sle", "sgt", "sge"))
 
     def _fcmp_core(self, inst: FCmp):
         import operator as _op
@@ -833,25 +851,17 @@ class _Translator:
             "oeq": _op.eq, "one": _op.ne, "olt": _op.lt,
             "ole": _op.le, "ogt": _op.gt, "oge": _op.ge,
         }[inst.pred]
-        ar, av = self._spec(inst.operands[0])
-        br, bv = self._spec(inst.operands[1])
-        slot = self.regmap[inst]
 
-        def core(regs, _s=slot, _c=cmp_fn):
-            a = regs[av] if ar else av
-            b = regs[bv] if br else bv
+        def core(a, b, _c=cmp_fn):
             if a != a or b != b:  # NaN: ordered predicates are all false
-                regs[_s] = 0
-            else:
-                regs[_s] = 1 if _c(a, b) else 0
+                return 0
+            return 1 if _c(a, b) else 0
 
         return core
 
     def _cast_core(self, inst: Cast):
         """Closure builder for the casts codegen doesn't inline (float
         conversions; everything else is emitted as source)."""
-        vr, vv = self._spec(inst.value)
-        slot = self.regmap[inst]
         op = inst.op
         t = inst.type
         if op == "sitofp":
@@ -860,45 +870,42 @@ class _Translator:
             ts = src.to_signed
             narrow = isinstance(t, FloatType) and t.bits == 32
 
-            def core(regs, _s=slot, _ts=ts, _n=narrow):
-                r = float(_ts(regs[vv] if vr else vv))
+            def core(v, _ts=ts, _n=narrow):
+                r = float(_ts(v))
                 if _n:
                     r = _F32.unpack(_F32.pack(r))[0]
-                regs[_s] = r
+                return r
         elif op == "fptosi":
             assert isinstance(t, IntType)
             wrap = t.wrap
 
-            def core(regs, _s=slot, _w=wrap):
-                regs[_s] = _w(int(regs[vv] if vr else vv))
+            def core(v, _w=wrap):
+                return _w(int(v))
         elif op == "fptrunc":
-            def core(regs, _s=slot):
-                regs[_s] = _F32.unpack(_F32.pack(regs[vv] if vr else vv))[0]
+            def core(v):
+                return _F32.unpack(_F32.pack(v))[0]
         else:  # pragma: no cover - verifier rejects other casts
             raise InterpreterError(f"bad cast {op}")
         return core
 
     def _alloca_core(self, inst: Alloca):
-        slot = self.regmap[inst]
         size = inst.size_bytes
         align_mask = ~(max(inst.allocated_type.align_bytes(), 8) - 1)
         eng = self.engine
         kbase = layout.KSTACK_BASE
 
-        def core(regs, _s=slot, _sz=size, _am=align_mask, _e=eng, _kb=kbase):
+        def core(_sz=size, _am=align_mask, _e=eng, _kb=kbase):
             top = (_e._stack_top - _sz) & _am
             if top < _kb:
                 _e.kernel.panic("kernel stack exhausted")
             _e._stack_top = top
-            regs[_s] = top
+            return top
 
         return core
 
     # -- memory ------------------------------------------------------------
 
     def _load_core(self, inst: Load):
-        pr, pv = self._spec(inst.pointer)
-        slot = self.regmap[inst]
         t = inst.type
         timing = self.timing
         mem = self.engine.kernel.address_space
@@ -908,19 +915,15 @@ class _Translator:
             if timing is not None:
                 mrc = timing.machine.mmio_read_cycles
 
-                def core(regs, _s=slot, _t=timing, _f=find, _r=reader,
-                         _mrc=mrc):
-                    addr = regs[pv] if pr else pv
+                def core(addr, _t=timing, _f=find, _r=reader, _mrc=mrc):
                     _t.loads += 1
                     m = _f(addr)
                     if m is not None and m.device is not None:
                         _t.mmio_reads += 1
                         _t.cycles += _mrc
-                    regs[_s] = _r(addr)
-            else:
-                def core(regs, _s=slot, _r=reader):
-                    regs[_s] = _r(regs[pv] if pr else pv)
-            return core
+                    return _r(addr)
+                return core
+            return reader
         size = t.size_bytes()
         ram = mem.ram
         pages = ram._pages
@@ -938,11 +941,10 @@ class _Translator:
         if timing is not None:
             mrc = timing.machine.mmio_read_cycles
 
-            def core(regs, _s=slot, _z=size, _t=timing, _f=find, _p=pages,
+            def core(addr, _z=size, _t=timing, _f=find, _p=pages,
                      _rr=ram_read, _rs=ram_size, _ps=page_size,
                      _sh=page_shift, _om=off_mask, _mrc=mrc,
                      _memo=memo, _a=mem):
-                addr = regs[pv] if pr else pv
                 _t.loads += 1
                 m = _memo[0]
                 if (m is not None and _memo[1] == _a.version
@@ -954,11 +956,9 @@ class _Translator:
                     off = phys & _om
                     if off + _z <= _ps:
                         page = _p.get(phys >> _sh)
-                        regs[_s] = (0 if page is None else int.from_bytes(
+                        return (0 if page is None else int.from_bytes(
                             page[off:off + _z], "little"))
-                    else:
-                        regs[_s] = int.from_bytes(_rr(phys, _z), "little")
-                    return
+                    return int.from_bytes(_rr(phys, _z), "little")
                 m = _f(addr)
                 if m is not None:
                     dev = m.device
@@ -967,10 +967,9 @@ class _Translator:
                         _t.cycles += _mrc
                         if addr + _z > m.base + m.size:
                             raise MemoryFault(addr, _z, False, "no mapping")
-                        regs[_s] = int.from_bytes(
+                        return int.from_bytes(
                             dev.mmio_read(addr - m.base, _z)
                             .to_bytes(_z, "little"), "little")
-                        return
                     if addr + _z <= m.base + m.size:
                         _memo[0] = m
                         _memo[1] = _a.version
@@ -981,18 +980,14 @@ class _Translator:
                         off = phys & _om
                         if off + _z <= _ps:
                             page = _p.get(phys >> _sh)
-                            regs[_s] = (0 if page is None else int.from_bytes(
+                            return (0 if page is None else int.from_bytes(
                                 page[off:off + _z], "little"))
-                        else:
-                            regs[_s] = int.from_bytes(
-                                _rr(phys, _z), "little")
-                        return
+                        return int.from_bytes(_rr(phys, _z), "little")
                 raise MemoryFault(addr, _z, False, "no mapping")
         else:
-            def core(regs, _s=slot, _z=size, _f=find, _p=pages,
+            def core(addr, _z=size, _f=find, _p=pages,
                      _rr=ram_read, _rs=ram_size, _ps=page_size,
                      _sh=page_shift, _om=off_mask, _memo=memo, _a=mem):
-                addr = regs[pv] if pr else pv
                 m = _memo[0]
                 if (m is not None and _memo[1] == _a.version
                         and m.base <= addr
@@ -1003,20 +998,17 @@ class _Translator:
                     off = phys & _om
                     if off + _z <= _ps:
                         page = _p.get(phys >> _sh)
-                        regs[_s] = (0 if page is None else int.from_bytes(
+                        return (0 if page is None else int.from_bytes(
                             page[off:off + _z], "little"))
-                    else:
-                        regs[_s] = int.from_bytes(_rr(phys, _z), "little")
-                    return
+                    return int.from_bytes(_rr(phys, _z), "little")
                 m = _f(addr)
                 if m is not None:
                     if m.device is not None:
                         if addr + _z > m.base + m.size:
                             raise MemoryFault(addr, _z, False, "no mapping")
-                        regs[_s] = int.from_bytes(
+                        return int.from_bytes(
                             m.device.mmio_read(addr - m.base, _z)
                             .to_bytes(_z, "little"), "little")
-                        return
                     if addr + _z <= m.base + m.size:
                         _memo[0] = m
                         _memo[1] = _a.version
@@ -1027,18 +1019,13 @@ class _Translator:
                         off = phys & _om
                         if off + _z <= _ps:
                             page = _p.get(phys >> _sh)
-                            regs[_s] = (0 if page is None else int.from_bytes(
+                            return (0 if page is None else int.from_bytes(
                                 page[off:off + _z], "little"))
-                        else:
-                            regs[_s] = int.from_bytes(
-                                _rr(phys, _z), "little")
-                        return
+                        return int.from_bytes(_rr(phys, _z), "little")
                 raise MemoryFault(addr, _z, False, "no mapping")
         return core
 
     def _store_core(self, inst: Store):
-        pr, pv = self._spec(inst.pointer)
-        vr, vv = self._spec(inst.value)
         t = inst.value.type
         timing = self.timing
         mem = self.engine.kernel.address_space
@@ -1048,19 +1035,16 @@ class _Translator:
             if timing is not None:
                 mwc = timing.machine.mmio_write_cycles
 
-                def core(regs, _t=timing, _f=find, _w=writer, _mwc=mwc):
-                    addr = regs[pv] if pr else pv
-                    value = regs[vv] if vr else vv
+                def core(addr, value, _t=timing, _f=find, _w=writer,
+                         _mwc=mwc):
                     _t.stores += 1
                     m = _f(addr)
                     if m is not None and m.device is not None:
                         _t.mmio_writes += 1
                         _t.cycles += _mwc
                     _w(addr, value)
-            else:
-                def core(regs, _w=writer):
-                    _w(regs[pv] if pr else pv, regs[vv] if vr else vv)
-            return core
+                return core
+            return writer
         size = t.size_bytes()
         mask = (1 << (8 * size)) - 1
         ram = mem.ram
@@ -1077,12 +1061,10 @@ class _Translator:
         if timing is not None:
             mwc = timing.machine.mmio_write_cycles
 
-            def core(regs, _z=size, _k=mask, _t=timing, _f=find, _p=pages,
-                     _rw=ram_write, _rs=ram_size, _ps=page_size,
+            def core(addr, value, _z=size, _k=mask, _t=timing, _f=find,
+                     _p=pages, _rw=ram_write, _rs=ram_size, _ps=page_size,
                      _sh=page_shift, _om=off_mask, _mwc=mwc,
                      _memo=memo, _a=mem):
-                addr = regs[pv] if pr else pv
-                value = regs[vv] if vr else vv
                 _t.stores += 1
                 m = _memo[0]
                 if (m is not None and _memo[1] == _a.version
@@ -1131,11 +1113,9 @@ class _Translator:
                 else:
                     _rw(phys, v.to_bytes(_z, "little"))
         else:
-            def core(regs, _z=size, _k=mask, _f=find, _p=pages,
+            def core(addr, value, _z=size, _k=mask, _f=find, _p=pages,
                      _rw=ram_write, _rs=ram_size, _ps=page_size,
                      _sh=page_shift, _om=off_mask, _memo=memo, _a=mem):
-                addr = regs[pv] if pr else pv
-                value = regs[vv] if vr else vv
                 m = _memo[0]
                 if (m is not None and _memo[1] == _a.version
                         and m.base <= addr
@@ -1187,34 +1167,16 @@ class _Translator:
         eng = self.engine
         module = self.module
         timing = self.timing
-        argspec = [self._spec(a) for a in inst.args]
         callee = inst.callee
-        is_void = inst.type.is_void
-        slot = None if is_void else self.regmap[inst]
         if not callee.is_declaration:
             # Same-module direct call: skip the ``_dispatch_call`` frame.
             if timing is not None:
-                if is_void:
-                    def core(regs, _e=eng, _m=module, _fn=callee, _a=argspec,
-                             _t=timing):
-                        _t.calls += 1
-                        _e._exec_function(
-                            _m, _fn, [regs[v] if r else v for (r, v) in _a])
-                else:
-                    def core(regs, _s=slot, _e=eng, _m=module, _fn=callee,
-                             _a=argspec, _t=timing):
-                        _t.calls += 1
-                        regs[_s] = _e._exec_function(
-                            _m, _fn, [regs[v] if r else v for (r, v) in _a])
-            elif is_void:
-                def core(regs, _e=eng, _m=module, _fn=callee, _a=argspec):
-                    _e._exec_function(
-                        _m, _fn, [regs[v] if r else v for (r, v) in _a])
+                def core(*args, _e=eng, _m=module, _fn=callee, _t=timing):
+                    _t.calls += 1
+                    return _e._exec_function(_m, _fn, args)
             else:
-                def core(regs, _s=slot, _e=eng, _m=module, _fn=callee,
-                         _a=argspec):
-                    regs[_s] = _e._exec_function(
-                        _m, _fn, [regs[v] if r else v for (r, v) in _a])
+                def core(*args, _e=eng, _m=module, _fn=callee):
+                    return _e._exec_function(_m, _fn, args)
             return core
         # Declaration: the linked native is the common case — inline it
         # (with the interpreter's int-return normalization); symbols that
@@ -1225,27 +1187,24 @@ class _Translator:
         rt = callee.function_type.ret
         rmask = rt.max_unsigned if isinstance(rt, IntType) else None
 
-        def core(regs, _s=slot, _e=eng, _i=inst, _m=module, _a=argspec,
-                 _imp=imports, _n=cname, _t=timing, _k=rmask):
-            args = [regs[v] if r else v for (r, v) in _a]
+        def core(*args, _e=eng, _i=inst, _m=module, _imp=imports, _n=cname,
+                 _t=timing, _k=rmask):
             sym = _imp.get(_n)
             if sym is None or sym.native is None:
-                ret = _e._dispatch_call(_i, _m, args)
-            else:
-                if _t is not None:
-                    _t.calls += 1
-                _e.current_module = _m
-                ret = sym.native(_e, *args)
-                if _k is not None and isinstance(ret, int):
-                    ret &= _k
-            if _s is not None:
-                regs[_s] = ret
+                return _e._dispatch_call(_i, _m, args)
+            if _t is not None:
+                _t.calls += 1
+            _e.current_module = _m
+            ret = sym.native(_e, *args)
+            if _k is not None and isinstance(ret, int):
+                ret &= _k
+            return ret
 
         return core
 
     def _guard_core(self, inst: Call):
         """Guard calls bypass add_op/profiler (charged via ``add_guard``
-        only, like the interpreter) — the emitter writes no charge lines.
+        only, like the interpreter) — the emitter charges no opcode cost.
 
         The common case — the guard symbol is linked and native — is
         inlined: the module's import dict and name, and the machine's
@@ -1267,43 +1226,31 @@ class _Translator:
         prof = self.profiler
         ordinal = self._guard_ordinal
         self._guard_ordinal += 1
-        ar, av = self._spec(inst.args[0])
-        sr, sv = self._spec(inst.args[1])
-        fr, fv = self._spec(inst.args[2])
         if self.tracer is not None:
             # Traced translation: the static key is the translation
             # itself — these closures exist only while a tracer is
             # attached; untraced translations carry no trace code at all.
-            return self._traced_guard_core(inst, ordinal, ar, av, sr, sv,
-                                           fr, fv)
+            return self._traced_guard_core(inst, ordinal)
         if timing is not None:
             gb = timing.machine.guard_base_cycles
             ge = timing.machine.guard_entry_cycles
             if prof is None:
-                def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
+                def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
                          _g=gsym, _t=timing, _gb=gb, _ge=ge):
-                    a = regs[av] if ar else av
-                    s = regs[sv] if sr else sv
-                    f = regs[fv] if fr else fv
                     sym = _imp.get(_g)
                     if sym is None or sym.native is None:
-                        _e._dispatch_guard(_m, a, s, f)
-                        return
+                        return _e._dispatch_guard(_m, a, s, f)
                     _e.guard_checks += 1
                     n = int(sym.native(_e, a, s, f, _n) or 0)
                     _t.guards += 1
                     _t.guard_entries_scanned += n
                     _t.cycles += _gb + _ge * n
             else:
-                def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
+                def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
                          _g=gsym, _t=timing, _gb=gb, _ge=ge, _p=prof):
-                    a = regs[av] if ar else av
-                    s = regs[sv] if sr else sv
-                    f = regs[fv] if fr else fv
                     sym = _imp.get(_g)
                     if sym is None or sym.native is None:
-                        _e._dispatch_guard(_m, a, s, f)
-                        return
+                        return _e._dispatch_guard(_m, a, s, f)
                     _e.guard_checks += 1
                     n = int(sym.native(_e, a, s, f, _n) or 0)
                     cost = _gb + _ge * n
@@ -1312,34 +1259,25 @@ class _Translator:
                     _t.cycles += cost
                     _p.on_guard(a, s, f, cost)
         elif prof is None:
-            def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
+            def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
                      _g=gsym):
-                a = regs[av] if ar else av
-                s = regs[sv] if sr else sv
-                f = regs[fv] if fr else fv
                 sym = _imp.get(_g)
                 if sym is None or sym.native is None:
-                    _e._dispatch_guard(_m, a, s, f)
-                    return
+                    return _e._dispatch_guard(_m, a, s, f)
                 _e.guard_checks += 1
                 sym.native(_e, a, s, f, _n)
         else:
-            def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
+            def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
                      _g=gsym, _p=prof):
-                a = regs[av] if ar else av
-                s = regs[sv] if sr else sv
-                f = regs[fv] if fr else fv
                 sym = _imp.get(_g)
                 if sym is None or sym.native is None:
-                    _e._dispatch_guard(_m, a, s, f)
-                    return
+                    return _e._dispatch_guard(_m, a, s, f)
                 _e.guard_checks += 1
                 sym.native(_e, a, s, f, _n)
                 _p.on_guard(a, s, f, 0.0)
         return core
 
-    def _traced_guard_core(self, inst: Call, ordinal: int,
-                           ar, av, sr, sv, fr, fv):
+    def _traced_guard_core(self, inst: Call, ordinal: int):
         """The guard closure compiled while a tracer is attached.
 
         The callsite id is baked in at translate time (no per-hit walk),
@@ -1361,16 +1299,12 @@ class _Translator:
             gb = timing.machine.guard_base_cycles
             ge = timing.machine.guard_entry_cycles
 
-            def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
+            def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
                      _g=gsym, _t=timing, _gb=gb, _ge=ge, _p=prof,
                      _tr=tracer, _site=site, _i=inst):
-                a = regs[av] if ar else av
-                s = regs[sv] if sr else sv
-                f = regs[fv] if fr else fv
                 sym = _imp.get(_g)
                 if sym is None or sym.native is None:
-                    _e._dispatch_guard(_m, a, s, f, _i)
-                    return
+                    return _e._dispatch_guard(_m, a, s, f, _i)
                 _e.guard_checks += 1
                 n = int(sym.native(_e, a, s, f, _n) or 0)
                 cost = _gb + _ge * n
@@ -1381,15 +1315,11 @@ class _Translator:
                     _p.on_guard(a, s, f, cost)
                 _tr.on_guard(_site, a, s, f, n, cost)
         else:
-            def core(regs, _e=eng, _m=module, _imp=imports, _n=mname,
+            def core(a, s, f, _e=eng, _m=module, _imp=imports, _n=mname,
                      _g=gsym, _p=prof, _tr=tracer, _site=site, _i=inst):
-                a = regs[av] if ar else av
-                s = regs[sv] if sr else sv
-                f = regs[fv] if fr else fv
                 sym = _imp.get(_g)
                 if sym is None or sym.native is None:
-                    _e._dispatch_guard(_m, a, s, f, _i)
-                    return
+                    return _e._dispatch_guard(_m, a, s, f, _i)
                 _e.guard_checks += 1
                 n = int(sym.native(_e, a, s, f, _n) or 0)
                 if _p is not None:
@@ -1397,58 +1327,95 @@ class _Translator:
                 _tr.on_guard(_site, a, s, f, n, 0.0)
         return core
 
-    # -- terminators -------------------------------------------------------
+    # -- terminators and edges ---------------------------------------------
 
-    def _emit_terminator(self, inst, body: list[str], count: int) -> None:
-        """Emit the charged terminator.  The batched instruction count is
-        flushed immediately before the ``return`` — everything after the
-        flush (register reads, int literals, ``dict.get`` on a literal
-        table) is non-raising, so the count can never double-flush
-        through the exception handler."""
-        body.append(f"n = {count}")
-        self._emit_charge(inst.opcode, body)
-        flush = f"E.instructions_executed += {count}"
+    def _emit_terminator(self, inst, bi: int, out: list[str]) -> None:
+        """Emit the charged terminator: store every pending charge, then
+        transfer control (phi copies ride on the edges)."""
+        self._charge(inst, out)
         kind = type(inst)
-        if kind is Br:
-            if inst.is_conditional:
-                c = self._src(inst.operands[0])
-                ti = self.block_index[inst.targets[0]]
-                fi = self.block_index[inst.targets[1]]
-                body.append(flush)
-                body.append(f"return {ti} if {c} else {fi}")
-            else:
-                body.append(flush)
-                body.append(f"return {self.block_index[inst.targets[0]]}")
-            return
         if kind is Ret:
-            if inst.value is not None:
-                body.append(f"r[0] = {self._src(inst.value)}")
-            body.append(flush)
-            body.append("return -1")
+            self._flush(out)
+            if inst.value is None:
+                out.append("return None")
+            else:
+                out.append(f"return {self._src(inst.value)}")
             return
-        assert type(inst) is Switch
+        if kind is Br and not inst.is_conditional:
+            self._emit_edge(bi, self.block_index[inst.targets[0]], out)
+            return
+        self._flush(out)
+        if kind is Br:
+            c = self._src(inst.operands[0])
+            ti = self.block_index[inst.targets[0]]
+            fi = self.block_index[inst.targets[1]]
+            then: list[str] = []
+            other: list[str] = []
+            self._emit_edge(bi, ti, then)
+            self._emit_edge(bi, fi, other)
+            pt, pf = self.pos[ti], self.pos[fi]
+            if then == [f"b = {pt}"] and other == [f"b = {pf}"]:
+                out.append(f"b = {pt} if {c} else {pf}")
+                return
+            out.append(f"if {c}:")
+            out.extend("    " + line for line in then)
+            out.append("else:")
+            out.extend("    " + line for line in other)
+            return
+        assert kind is Switch
         v = self._src(inst.operands[0])
         # First matching case wins, like the interpreter's linear scan:
         # keep only the first target for duplicated case values.
         table: dict[int, int] = {}
         for cv_, target in inst.cases:
             if cv_ not in table:
-                table[cv_] = self.block_index[target]
-        tbl = self._bind("TBL", table)
-        body.append(flush)
-        body.append(f"return {tbl}.get({v}, {self.block_index[inst.default]})")
+                table[cv_] = self.pos[self.block_index[target]]
+        default = self.pos[self.block_index[inst.default]]
+        out.append(f"b = {self._bind('TBL', table)}.get({v}, {default})")
+        test = "if"
+        for t in dict.fromkeys([t for _, t in inst.cases] + [inst.default]):
+            if self._n_phis(t):
+                ti = self.block_index[t]
+                edge: list[str] = []
+                self._emit_edge(bi, ti, edge, jump=False)
+                out.append(f"{test} b == {self.pos[ti]}:")
+                out.extend("    " + line for line in edge)
+                test = "elif"
+        if min([*table.values(), default]) <= self.pos[bi]:
+            out.append("continue")
 
-    def _emit_unreachable(
-        self, inst: Unreachable, body: list[str], count: int
-    ) -> None:
-        body.append(f"n = {count}")
-        self._emit_charge(inst.opcode, body)
-        msg = (
-            f"module {self.module.name}: reached 'unreachable' "
-            f"in @{self.fn.name}"
-        )
-        # ``panic`` raises, so the handler flushes the charged count.
-        body.append(f"E.kernel.panic({msg!r})")
+    def _emit_edge(self, bi: int, ti: int, out: list[str], *,
+                   jump: bool = True) -> None:
+        """Take the edge from block ``bi`` to block ``ti``: charge and
+        copy ``ti``'s phis for this edge, then (if ``jump``) set the
+        block index and, for a backward edge, restart the dispatch."""
+        target = self.fn.blocks[ti]
+        phis = target.instructions[:self._n_phis(target)]
+        srcs = []
+        pred = self.fn.blocks[bi]
+        for phi in phis:
+            # First matching edge wins, like ``incoming_for``.
+            value = next((v for v, p in phi.incoming if p is pred), None)
+            if value is None:
+                # Some phi lacks this edge: taking it is a KeyError at
+                # runtime, after the terminator's charge, same as the
+                # interpreter.
+                self._flush(out)
+                msg = f"phi has no incoming edge from {pred.name}"
+                out.append(f"raise KeyError({msg!r})")
+                return
+            srcs.append(self._src(value))
+        if phis and self.timing is not None:
+            self._insts += len(phis)
+        self._flush(out)
+        if phis:
+            # Phis read pre-transfer values: one parallel assignment.
+            dsts = ", ".join(self.names[p] for p in phis)
+            out.append(f"{dsts} = {', '.join(srcs)}")
+        if jump:
+            out.append(f"b = {self.pos[ti]}")
+            if self.pos[ti] <= self.pos[bi]:
+                out.append("continue")
 
 
 __all__ = ["CompiledEngine", "TRANSLATION_CACHE", "translation_cache_stats"]

@@ -170,6 +170,65 @@ PROGRAMS = [
         """,
         [("push", (9,)), ("push", (4,)), ("slot", (5,))],
     ),
+    # phi shapes: a pure swap loop (the back edge's phis form a parallel
+    # copy cycle), a switch whose default target begins with a phi, and
+    # conditional branches whose two arms reach one phi block (through
+    # arm blocks, and directly from the branching block); and natives
+    # reading and advancing the cycle counter between runs of inline steps
+    (
+        """
+        __export long swap(long a, long b, long n) {
+            for (long i = 0; i < n; i = i + 1) {
+                long t = a; a = b; b = t;
+            }
+            return a * 1000 + b;
+        }
+        __export long sw(int k, long x) {
+            long r = x;
+            long acc = 0;
+            for (long i = 0; i < 4; i = i + 1) {
+                switch (k + i) { case 3: r = r + 1; break; case 5: r = 2; break; }
+                acc = acc + r;
+            }
+            return acc;
+        }
+        __export long arms(long c, long x) {
+            long r;
+            if (c > 3) { r = x * 2; } else { r = x - 5; }
+            return r + 1;
+        }
+        __export long pick(long c, long x) {
+            long r = x;
+            if (c) { r = x + 9; }
+            return r;
+        }
+        extern long get_cycles(void);
+        extern void udelay(long usec);
+        __export long tsc(long n) {
+            long a = n * 3 + 1;
+            long t0 = get_cycles();
+            a = a ^ (n << 2);
+            a = a + 7;
+            udelay(2);
+            long t1 = get_cycles();
+            return (t1 - t0) * 1000 + a;
+        }
+        """,
+        [
+            ("tsc", (5,)),
+            ("swap", (1, 2, 0)),
+            ("swap", (1, 2, 3)),
+            ("swap", (1, 2, 8)),
+            ("sw", (0, 10)),
+            ("sw", (2, 10)),
+            ("sw", (3, 10)),
+            ("sw", (9, 10)),
+            ("arms", (7, 11)),
+            ("arms", ((-7) % (1 << 64), 11)),
+            ("pick", (0, 4)),
+            ("pick", (1, 4)),
+        ],
+    ),
 ]
 
 
@@ -268,6 +327,25 @@ def _run_panicking(engine, source, fn, args):
             "f",
             (1 << 30,),  # kernel stack overflow via unbounded recursion
         ),
+        (
+            # divide by zero in a callee after a run of inline steps in
+            # both frames, whose charges are stored only at the calls
+            """
+            long div(long a, long b) {
+                long s = a * 3 + b;
+                s = s ^ (a << 2);
+                return s / b;
+            }
+            __export long f(long a) {
+                long t = a + 1;
+                t = t * 7 - 3;
+                t = t | 5;
+                return div(t, 0) + t;
+            }
+            """,
+            "f",
+            (9,),
+        ),
     ],
 )
 def test_panic_parity(source, fn, args):
@@ -275,6 +353,38 @@ def test_panic_parity(source, fn, args):
     b = _run_panicking("compiled", source, fn, args)
     assert a == b
     assert a["raised"] is not None
+
+
+def _run_explicit_guard(engine):
+    # A call to carat_guard the guard pass did not insert: treated as a
+    # guard check, but charged like an ordinary call instruction.
+    system = CaratKopSystem(
+        SystemConfig(machine="r350", protect=True, engine=engine)
+    )
+    kernel = system.kernel
+    loaded = kernel.insmod(compile_module(
+        """
+        extern void carat_guard(long addr, long size, int flags);
+        __export long f(long a) { long t = a + 1; carat_guard(a, 8, 1); return t; }
+        """,
+        CompileOptions(module_name="explicit", protect=False,
+                       key=system.signing_key),
+    ))
+    before = kernel.vm.timing.snapshot()
+    result = kernel.run_function(loaded, "f", [system.driver.base])
+    return _observe(kernel, {
+        "result": result,
+        "call": kernel.vm.timing.delta_since(before),
+        "guard_stats": _guard_stats(system),
+    })
+
+
+def test_explicit_guard_call_identical():
+    a = _run_explicit_guard("interp")
+    b = _run_explicit_guard("compiled")
+    assert a == b
+    assert a["call"]["guards"] == 1
+    assert a["call"]["instructions"] == 3  # add, the call, ret
 
 
 # ---------------------------------------------------------------------------

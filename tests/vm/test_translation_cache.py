@@ -1,10 +1,10 @@
 """The process-global translation code cache (``TRANSLATION_CACHE``).
 
 The compiled engine's generated source is position-independent: global
-addresses are bound into each translation's namespace at ``exec`` time,
+addresses are bound per translation when the cached factory is called,
 never written into the source.  So a module reloaded at a new base
-prints the same source and rehydrates the cached code objects, while
-still reading and writing its *new* globals.
+prints the same source and rehydrates the cached code object (one per
+IR function), while still reading and writing its *new* globals.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ def _compile(source, name="pic"):
     )
 
 
-def _codes(kernel, loaded, fn_name):
-    """The code objects of ``fn_name``'s translated blocks."""
+def _code(kernel, loaded, fn_name):
+    """The code object of ``fn_name``'s translation."""
     entry = loaded.translations[kernel.vm][loaded.function(fn_name)]
-    return [b.run.__code__ for b in entry.blocks]
+    return entry.run.__code__
 
 
 def _traffic(system):
@@ -131,14 +131,13 @@ def test_identical_source_over_different_globals_shares_code():
     assert ka.run_function(la, "get", []) == 5
     assert kb.run_function(lb, "get", []) == 7
     for fn in ("put", "get"):
-        codes_a, codes_b = _codes(ka, la, fn), _codes(kb, lb, fn)
-        assert all(x is y for x, y in zip(codes_a, codes_b, strict=True))
+        assert _code(ka, la, fn) is _code(kb, lb, fn)
 
 
 def _all_codes(kernel, loaded):
-    """Translate every defined function; map it to its block codes."""
+    """Translate every defined function; map it to its code object."""
     return {
-        fn: [b.run.__code__ for b in kernel.vm._translation(loaded, fn).blocks]
+        fn: kernel.vm._translation(loaded, fn).run.__code__
         for fn in loaded.ir.functions.values() if not fn.is_declaration
     }
 
@@ -153,12 +152,11 @@ def test_elided_and_demoted_bodies_never_share_code():
     assert not loaded.elided_guards
     after = _all_codes(kernel, loaded)
     checked = 0
-    for fn, old_codes in before.items():
-        for block, old, new in zip(fn.blocks, old_codes, after[fn],
-                                   strict=True):
-            if any(id(inst) in elided for inst in block.instructions):
-                assert old is not new and old != new
-                checked += 1
+    for fn, old in before.items():
+        if any(id(inst) in elided
+               for block in fn.blocks for inst in block.instructions):
+            assert old is not after[fn] and old != after[fn]
+            checked += 1
     assert checked
 
 
